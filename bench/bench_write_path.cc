@@ -3,13 +3,14 @@
 //
 // Compares, over the same workload (T writer threads, each committing
 // fixed-size batches with WAL sync enabled):
-//   sync_baseline   — group commit off, no background executor: every
-//                     writer serializes the whole commit (WAL append +
-//                     fsync + memtable insert) under the engine mutex,
-//                     the pre-PR behavior
+//   sync_baseline   — no background executor, and a bench-local mutex
+//                     serializes every Engine::Write: each writer pays its
+//                     own WAL append + fsync + memtable insert, and flush
+//                     runs on the writing thread (no group ever forms)
 //   group_commit    — writers queue; the front writer leads, merges the
 //                     group, and pays one WAL sync for everyone while the
-//                     engine mutex is released
+//                     engine mutex is released; no executor, so flush runs
+//                     on the leader's thread at the end of its write
 //   group_commit_bg — group commit plus a 2-worker thread pool draining
 //                     memtable flushes and compactions off the commit path
 // across {1, 2, 8} writer threads. WAL sync latency is made realistic
@@ -24,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,7 +118,6 @@ ModeResult RunMode(const std::string& mode, int threads) {
   options.env = &env;
   options.sync_wal = true;
   options.memtable_bytes = 256 << 10;
-  options.group_commit = mode != "sync_baseline";
   if (mode == "group_commit_bg") {
     pool = std::make_unique<ThreadPoolExecutor>(2);
     options.background_executor = pool.get();
@@ -124,6 +125,8 @@ ModeResult RunMode(const std::string& mode, int threads) {
   auto engine = *Engine::Open(options);
 
   const std::string value(kValueLen, 'v');
+  const bool serialize = mode == "sync_baseline";
+  std::mutex serial_mu;
   std::vector<std::thread> workers;
   const auto start = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
@@ -133,6 +136,8 @@ ModeResult RunMode(const std::string& mode, int threads) {
         for (int op = 0; op < kOpsPerBatch; ++op) {
           batch.Put(Key(t, b * kOpsPerBatch + op), value);
         }
+        std::unique_lock<std::mutex> serial(serial_mu, std::defer_lock);
+        if (serialize) serial.lock();
         VELOCE_CHECK_OK(engine->Write(batch));
       }
     });

@@ -4,6 +4,7 @@
 #
 # Usage:
 #   scripts/check.sh            # release build + ctest + bench/scenario smoke
+#                               # + scenario fingerprint gate
 #   scripts/check.sh --asan     # ASan+UBSan build + ctest
 #   scripts/check.sh --tsan     # TSan build + storage/kv suites
 #   scripts/check.sh --full     # default path + full-mode scenario snapshots
@@ -127,6 +128,32 @@ scenario_smoke() {
   echo "scenario smoke OK"
 }
 
+# Fingerprint gate: a change must reproduce the committed root
+# BENCH_<scenario>.json event-log fingerprints byte for byte. Runs the
+# full-mode scenarios at the default seed (about a second) into a temp dir
+# and compares each fingerprint with the committed one; the root files are
+# never written here. Extra arguments go to bench_scenarios.
+fingerprint_gate() {
+  echo "==> scenario fingerprint gate (full mode vs committed BENCH_*.json)"
+  local tmp
+  tmp="$(mktemp -d)"
+  ./build/bench/bench_scenarios --out="${tmp}" "$@" >/dev/null ||
+    { rm -rf "${tmp}"; echo "bench_scenarios failed" >&2; exit 1; }
+  local name want got failed=0
+  local pattern='"event_log_fingerprint":-\{0,1\}[0-9]*'
+  for name in black-friday tenant-stampede az-outage rolling-upgrade-under-chaos gray-partition range-storm; do
+    want="$(grep -o "${pattern}" "${ROOT}/BENCH_${name}.json" || true)"
+    got="$(grep -o "${pattern}" "${tmp}/BENCH_${name}.json" || true)"
+    if [[ -z "${want}" || "${want}" != "${got}" ]]; then
+      echo "fingerprint mismatch for ${name}: committed ${want#*:}, this build ${got#*:}" >&2
+      failed=1
+    fi
+  done
+  rm -rf "${tmp}"
+  [[ "${failed}" -eq 0 ]] || exit 1
+  echo "scenario fingerprints OK"
+}
+
 # Full scenario run: uncompressed timelines at the default seed, snapshots
 # committed-to-repo-root BENCH_<scenario>.json (the trajectory artifacts).
 scenario_full() {
@@ -156,11 +183,11 @@ rangestorm_full() {
 }
 
 case "${1:-}" in
-  "")     run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke ;;
+  "")     run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate ;;
   --asan) run_preset asan ;;
   --tsan) run_preset tsan ;;
-  --full) run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; scenario_full; rangestorm_full ;;
-  --all)  run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; run_preset asan; run_preset tsan ;;
+  --full) run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate; scenario_full; rangestorm_full ;;
+  --all)  run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate; run_preset asan; run_preset tsan ;;
   *)      echo "usage: scripts/check.sh [--asan|--tsan|--full|--all]" >&2; exit 2 ;;
 esac
 

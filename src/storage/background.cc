@@ -2,6 +2,39 @@
 
 namespace veloce::storage {
 
+void InlineExecutor::Schedule(std::function<void()> fn) {
+  std::lock_guard<std::mutex> l(mu_);
+  queue_.push_back(std::move(fn));
+}
+
+size_t InlineExecutor::RunQueued() {
+  std::unique_lock<std::mutex> l(mu_);
+  size_t ran = 0;
+  while (true) {
+    if (!queue_.empty()) {
+      auto fn = std::move(queue_.front());
+      queue_.pop_front();
+      ++active_;
+      l.unlock();
+      fn();
+      l.lock();
+      --active_;
+      ++ran;
+      idle_cv_.notify_all();
+    } else if (active_ > 0) {
+      // A task running on another thread may chain more work; wait it out.
+      idle_cv_.wait(l);
+    } else {
+      return ran;
+    }
+  }
+}
+
+size_t InlineExecutor::queue_depth() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return queue_.size() + active_;
+}
+
 ThreadPoolExecutor::ThreadPoolExecutor(int num_threads) {
   if (num_threads < 1) num_threads = 1;
   threads_.reserve(static_cast<size_t>(num_threads));

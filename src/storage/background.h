@@ -13,7 +13,7 @@ namespace veloce::storage {
 
 /// Executes the engine's background work (memtable flushes, compactions).
 ///
-/// Two families of implementations exist:
+/// The engine ships three implementations:
 ///  * ThreadPoolExecutor — real OS threads; flush and compaction overlap
 ///    foreground writes, which is what the multi-threaded write benches and
 ///    the TSan stress test exercise.
@@ -21,11 +21,13 @@ namespace veloce::storage {
 ///    discrete-event loop, so background work interleaves with simulated
 ///    time deterministically and the paper-figure benches stay
 ///    bit-reproducible.
+///  * InlineExecutor — the FIFO an engine owns when it is opened without an
+///    executor. The engine drains it on the write leader's thread at the
+///    end of each write, so flush and compaction finish inside the write
+///    that triggered them, deterministically and with zero wiring.
 ///
 /// Contract: Schedule() must NOT run `fn` inline on the calling thread (the
-/// engine schedules while holding its mutex). A null executor on the engine
-/// means fully synchronous flush/compaction inside the triggering write —
-/// the legacy deterministic mode.
+/// engine schedules while holding its mutex).
 class BackgroundExecutor {
  public:
   virtual ~BackgroundExecutor() = default;
@@ -56,6 +58,24 @@ class BackgroundExecutor {
 
   /// Tasks queued or running — exported as veloce_storage_bg_queue_depth.
   virtual size_t queue_depth() const = 0;
+};
+
+/// FIFO that runs its tasks only when a caller drains it with RunQueued().
+/// Several threads may drain at once (concurrent writers on one engine):
+/// each pops and runs tasks until the queue is empty and no task is still
+/// running on another thread, so a returning drain leaves the executor idle.
+class InlineExecutor final : public BackgroundExecutor {
+ public:
+  void Schedule(std::function<void()> fn) override;
+  bool single_threaded() const override { return true; }
+  size_t RunQueued() override;
+  size_t queue_depth() const override;
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable idle_cv_;  ///< a task finished on some thread
+  std::deque<std::function<void()>> queue_;
+  size_t active_ = 0;
 };
 
 /// Fixed-size pool of worker threads draining a FIFO queue. Destruction

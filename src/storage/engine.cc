@@ -72,9 +72,11 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
     engine->block_cache_ = std::make_unique<BlockCache>(options.block_cache_bytes,
                                                         options.block_cache_shards);
   }
-  engine->executor_ = options.background_executor;
-  if (engine->executor_ != nullptr) {
-    engine->bg_token_ = std::make_shared<BgToken>();
+  if (options.background_executor == nullptr) {
+    engine->inline_executor_ = std::make_unique<InlineExecutor>();
+    engine->executor_ = engine->inline_executor_.get();
+  } else {
+    engine->executor_ = options.background_executor;
   }
   engine->mem_ = std::make_shared<MemTable>();
   engine->InitMetrics();
@@ -149,9 +151,7 @@ void Engine::InitMetrics() {
       [this, l0, bg_depth, imm, hits, misses, ratio,
        shard_gauges = std::move(shard_gauges)] {
         l0->Set(NumFilesAtLevel(0));
-        bg_depth->Set(executor_ != nullptr
-                          ? static_cast<double>(executor_->queue_depth())
-                          : 0);
+        bg_depth->Set(static_cast<double>(executor_->queue_depth()));
         imm->Set(static_cast<double>(imm_count_.load(std::memory_order_relaxed)));
         if (block_cache_ != nullptr) {
           const double h = static_cast<double>(block_cache_->hits());
@@ -187,15 +187,14 @@ const EngineStats& Engine::stats() const {
 }
 
 Engine::~Engine() {
-  if (executor_ == nullptr) return;
   {
     std::lock_guard<std::mutex> l(mu_);
     shutting_down_ = true;
   }
   // Taking the token mutex waits out an in-flight background task; queued
-  // tasks that run later see !alive and no-op. Anything still buffered in
-  // mem_/imm_ is covered by retained WALs and replays on reopen — the same
-  // crash-consistency contract the synchronous mode has always had.
+  // tasks that run later see !alive and no-op (an owned InlineExecutor
+  // drops its queue unrun). Anything still buffered in mem_/imm_ is covered
+  // by retained WALs and replays on reopen.
   std::lock_guard<std::mutex> tl(bg_token_->mu);
   bg_token_->alive = false;
 }
@@ -219,7 +218,8 @@ Status Engine::Recover() {
   }
   if (mem_->num_entries() > 0) {
     std::unique_lock<std::mutex> l(mu_);
-    VELOCE_RETURN_IF_ERROR(FlushMemTableLocked());
+    VELOCE_RETURN_IF_ERROR(RotateMemtableLocked());
+    VELOCE_RETURN_IF_ERROR(FlushOldestImm(l, /*unlock=*/false));
   }
   for (const auto& name : wals) {
     VELOCE_RETURN_IF_ERROR(env_->DeleteFile(options_.dir + "/" + name));
@@ -364,16 +364,18 @@ Status Engine::Write(const WriteBatch& batch) {
     VELOCE_RETURN_IF_ERROR(batch.Iterate(&validator));
   }
   std::unique_lock<std::mutex> l(mu_);
-  if (!options_.group_commit) {
-    return WriteLegacyLocked(l, batch);
-  }
   Writer w(&batch);
   writers_.push_back(&w);
   while (!w.done && &w != writers_.front()) {
     w.cv.wait(l);
   }
   if (w.done) return w.status;  // a leader committed us as a follower
-  return WriteGroupCommit(l, &w);
+  Status s = WriteGroupCommit(l, &w);
+  l.unlock();
+  // No executor was supplied: the leader runs the background work this
+  // write scheduled, so it has finished by the time the write returns.
+  if (inline_executor_ != nullptr) inline_executor_->RunQueued();
+  return s;
 }
 
 bool Engine::IsTransientError(const Status& s) {
@@ -414,13 +416,11 @@ Status Engine::HandleForegroundFailureLocked(Status s) {
 Status Engine::Resume() {
   std::unique_lock<std::mutex> l(mu_);
   if (bg_error_.ok()) return Status::OK();
-  if (executor_ != nullptr) {
-    // Degraded mode schedules no new work, but an in-flight task may still
-    // be winding down; quiesce before re-driving the backlog ourselves.
-    while (!writers_.empty() || bg_scheduled_) {
-      WaitWritersIdleLocked(l);
-      WaitBackgroundIdleLocked(l);
-    }
+  // Degraded mode schedules no new work, but an in-flight task may still
+  // be winding down; quiesce before re-driving the backlog ourselves.
+  while (!writers_.empty() || bg_scheduled_) {
+    WaitWritersIdleLocked(l);
+    WaitBackgroundIdleLocked(l);
   }
   // Retry the work that failed. If the fault has not cleared, stay degraded
   // (with the fresh cause) so reads keep working and Resume() can be tried
@@ -440,37 +440,6 @@ Status Engine::Resume() {
   degraded_g_->Set(0);
   VLOG_INFO << "storage: resumed from degraded mode";
   MaybeScheduleBackgroundLocked();
-  return Status::OK();
-}
-
-Status Engine::WriteLegacyLocked(std::unique_lock<std::mutex>& l,
-                                 const WriteBatch& batch) {
-  VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  VELOCE_RETURN_IF_ERROR(MakeRoomForWriteLocked(l));
-  const SequenceNumber base_seq = last_seq_.load(std::memory_order_relaxed) + 1;
-  std::string record;
-  PutFixed64(&record, base_seq);
-  record.append(batch.rep());
-  VELOCE_RETURN_IF_ERROR(wal_->AddRecord(Slice(record)));
-  if (options_.sync_wal) VELOCE_RETURN_IF_ERROR(wal_->Sync());
-  wal_bytes_c_->Inc(record.size() + 8);  // payload + frame header
-  ingest_bytes_c_->Inc(batch.PayloadBytes());
-
-  MemTableInserter inserter(mem_.get(), base_seq);
-  VELOCE_RETURN_IF_ERROR(batch.Iterate(&inserter));  // pre-validated
-  last_seq_.store(base_seq + batch.Count() - 1, std::memory_order_release);
-
-  if (executor_ == nullptr) {
-    if (mem_->ApproximateMemoryUsage() >= options_.memtable_bytes) {
-      // Synchronous mode: a transient flush failure surfaces to this writer
-      // and the (still full) memtable retries on the next write; hard
-      // failures degrade the engine.
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(MaybeCompactLocked()));
-    }
-  } else {
-    MaybeScheduleBackgroundLocked();
-  }
   return Status::OK();
 }
 
@@ -532,14 +501,6 @@ Status Engine::WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w) {
   }
   commit_group_size_h_->Record(static_cast<int64_t>(group_size));
 
-  // Synchronous mode keeps the legacy flush-inside-the-write timing.
-  if (s.ok() && executor_ == nullptr &&
-      mem_->ApproximateMemoryUsage() >= options_.memtable_bytes) {
-    Status fs = FlushMemTableLocked();
-    if (fs.ok()) fs = MaybeCompactLocked();
-    if (!fs.ok()) s = HandleForegroundFailureLocked(std::move(fs));
-  }
-
   // Pop the whole group, waking followers with the shared status.
   while (true) {
     Writer* ready = writers_.front();
@@ -560,7 +521,6 @@ Status Engine::WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w) {
 }
 
 Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
-  if (executor_ == nullptr) return Status::OK();
   Clock* clock = options_.obs.clock_or_real();
   bool stalled = false;
   Nanos stall_start = 0;
@@ -573,10 +533,17 @@ Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
     if (mem_->ApproximateMemoryUsage() < options_.memtable_bytes) break;
     const bool imm_full =
         static_cast<int>(imm_.size()) >= options_.max_immutable_memtables;
+    // Below the compaction trigger no background work would ever drain L0,
+    // so a stall there could never end.
     const bool l0_full =
-        static_cast<int>(levels_[0].size()) >= options_.l0_stall_files;
+        static_cast<int>(levels_[0].size()) >=
+        std::max(options_.l0_stall_files, options_.l0_compaction_trigger);
     if (!imm_full && !l0_full) {
-      s = RotateMemtableLocked();
+      // The sealed WAL must be durable before the next one takes a write:
+      // recovery replays WALs in order, and a torn older WAL under an
+      // intact newer one would bring back later writes without earlier ones.
+      s = wal_->Sync();
+      if (s.ok()) s = RotateMemtableLocked();
       if (s.ok()) MaybeScheduleBackgroundLocked();
       break;
     }
@@ -634,10 +601,11 @@ bool Engine::HasBackgroundWorkLocked() const {
 }
 
 void Engine::MaybeScheduleBackgroundLocked() {
-  if (executor_ == nullptr || shutting_down_ || bg_scheduled_) return;
+  if (shutting_down_ || bg_scheduled_) return;
   if (!bg_error_.ok()) return;
   if (!HasBackgroundWorkLocked()) return;
   bg_scheduled_ = true;
+  ++bg_schedules_;
   auto token = bg_token_;
   Engine* self = this;
   executor_->Schedule([self, token] {
@@ -737,13 +705,16 @@ void Engine::WaitWritersIdleLocked(std::unique_lock<std::mutex>& l) {
 void Engine::WaitBackgroundIdleLocked(std::unique_lock<std::mutex>& l) {
   while (bg_scheduled_) {
     if (executor_->single_threaded()) {
+      const uint64_t schedules = bg_schedules_;
       l.unlock();
       const size_t ran = executor_->RunQueued();
       l.lock();
-      if (ran == 0) {
+      if (ran == 0 && bg_schedules_ == schedules) {
         // The queued task is deferred beyond our reach (test executors);
         // it re-checks engine state whenever it does run, so treating the
-        // engine as idle here is safe.
+        // engine as idle here is safe. A task scheduled while we were
+        // unlocked (another thread draining an InlineExecutor) is not
+        // deferred: loop and drain it.
         bg_scheduled_ = false;
       }
     } else {
@@ -776,12 +747,12 @@ Status Engine::BuildMemTable(const MemTable& mem, FileMeta* meta) {
 
 Status Engine::Flush() {
   std::unique_lock<std::mutex> l(mu_);
-  if (executor_ == nullptr) {
-    if (mem_->num_entries() == 0) return Status::OK();
-    VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-    return HandleForegroundFailureLocked(MaybeCompactLocked());
-  }
+  VELOCE_RETURN_IF_ERROR(FlushAllLocked(l));
+  MaybeScheduleBackgroundLocked();  // L0 may now be over its trigger
+  return Status::OK();
+}
+
+Status Engine::FlushAllLocked(std::unique_lock<std::mutex>& l) {
   VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
   // Quiesce: no queued writers (mem_ stable) and no in-flight background
   // task (no concurrent flush of the same sealed memtable). Both waits
@@ -790,33 +761,13 @@ Status Engine::Flush() {
     WaitWritersIdleLocked(l);
     WaitBackgroundIdleLocked(l);
   }
+  if (mem_->num_entries() > 0) {
+    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(RotateMemtableLocked()));
+  }
   while (!imm_.empty()) {
     VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
         FlushOldestImm(l, /*unlock=*/false)));
   }
-  if (mem_->num_entries() > 0) {
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-  }
-  MaybeScheduleBackgroundLocked();  // L0 may now be over its trigger
-  return Status::OK();
-}
-
-Status Engine::FlushMemTableLocked() {
-  if (mem_->num_entries() == 0) return Status::OK();
-  auto meta = std::make_shared<FileMeta>();
-  meta->number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-  VELOCE_RETURN_IF_ERROR(BuildMemTable(*mem_, meta.get()));
-
-  levels_[0].insert(levels_[0].begin(), meta);  // newest first
-  flush_bytes_c_->Inc(meta->file_size);
-  flushes_c_->Inc();
-
-  mem_ = std::make_shared<MemTable>();
-  // Retire the old WAL: its contents are now durable in the L0 file.
-  const uint64_t old_wal = wal_number_;
-  VELOCE_RETURN_IF_ERROR(NewWal());
-  VELOCE_RETURN_IF_ERROR(WriteManifest());
-  (void)env_->DeleteFile(WalFileName(old_wal));
   return Status::OK();
 }
 
@@ -824,26 +775,6 @@ uint64_t Engine::MaxBytesForLevel(int level) const {
   uint64_t max = options_.level_base_bytes;
   for (int i = 1; i < level; ++i) max *= 10;
   return max;
-}
-
-Status Engine::MaybeCompactLocked() {
-  bool did_work = true;
-  while (did_work) {
-    did_work = false;
-    if (static_cast<int>(levels_[0].size()) >= options_.l0_compaction_trigger) {
-      VELOCE_RETURN_IF_ERROR(CompactL0(nullptr));
-      did_work = true;
-      continue;
-    }
-    for (int level = 1; level < kNumLevels - 1; ++level) {
-      if (LevelBytesLocked(level) > MaxBytesForLevel(level)) {
-        VELOCE_RETURN_IF_ERROR(CompactLevel(level, nullptr));
-        did_work = true;
-        break;
-      }
-    }
-  }
-  return Status::OK();
 }
 
 Status Engine::CompactOneStep(std::unique_lock<std::mutex>* l) {
@@ -860,18 +791,7 @@ Status Engine::CompactOneStep(std::unique_lock<std::mutex>* l) {
 
 Status Engine::CompactAll() {
   std::unique_lock<std::mutex> l(mu_);
-  VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  if (executor_ != nullptr) {
-    while (!writers_.empty() || bg_scheduled_) {
-      WaitWritersIdleLocked(l);
-      WaitBackgroundIdleLocked(l);
-    }
-    while (!imm_.empty()) {
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
-          FlushOldestImm(l, /*unlock=*/false)));
-    }
-  }
-  VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
+  VELOCE_RETURN_IF_ERROR(FlushAllLocked(l));
   if (!levels_[0].empty()) {
     VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(CompactL0(nullptr)));
   }

@@ -26,6 +26,7 @@
 namespace veloce::storage {
 
 class BackgroundExecutor;
+class InlineExecutor;
 
 /// Cumulative counters exposed for admission control's capacity estimation
 /// (Section 5.1.3): the WQ token bucket refill rate is derived from flush
@@ -87,15 +88,11 @@ struct EngineOptions {
 
   // ---- Concurrent write path ----
   /// Runs flushes and compactions off the write path. Not owned; must
-  /// outlive the engine. nullptr = legacy mode: flush/compaction run
-  /// synchronously inside the triggering write (deterministic without any
-  /// event loop, and what the discrete benches used before sim executors).
+  /// outlive the engine. nullptr = the engine owns an InlineExecutor that
+  /// the write leader drains at the end of each write, so flush and
+  /// compaction finish inside the triggering write (deterministic without
+  /// any event loop or thread pool).
   BackgroundExecutor* background_executor = nullptr;
-  /// Group commit: concurrent writers queue, the front writer becomes the
-  /// leader and commits the whole group with one WAL append (+ one Sync)
-  /// outside the engine lock. Off = every write holds the lock across its
-  /// own WAL append, the pre-group-commit behaviour (kept for ablation).
-  bool group_commit = true;
   /// Sync the WAL file on every commit. Group commit amortizes the sync
   /// over the whole group, which is where its multi-writer win comes from.
   bool sync_wal = false;
@@ -126,7 +123,7 @@ struct EngineOptions {
 /// (immutable) memtables -> flushed L0 SSTables -> leveled compactions (L0
 /// may overlap; L1+ are sorted runs).
 ///
-/// Write path (docs/STORAGE.md has the full protocol):
+/// Write path (docs/STORAGE.md has the full protocol). There is one:
 ///  * Group commit: writers queue under the engine mutex; the front writer
 ///    leads, concatenates the group's batches, and performs the WAL append,
 ///    optional sync, and memtable insert with the mutex RELEASED, so reads
@@ -137,9 +134,10 @@ struct EngineOptions {
 ///    pluggable BackgroundExecutor. Reads merge mem + immutables + levels.
 ///  * Writers stall (with the delay surfaced to admission control) when
 ///    sealed memtables or L0 files pile past their thresholds.
-/// With a null executor all of this degenerates to the legacy synchronous
-/// mode: flush and compaction run inside the triggering write, which keeps
-/// behaviour deterministic with zero wiring.
+/// Opened without an executor, the engine owns an InlineExecutor and the
+/// write leader drains it right after releasing the mutex, so the flush
+/// and compactions a write triggers finish before that write returns —
+/// deterministic with zero wiring, through the same code.
 ///
 /// Thread-safe. One mutex guards engine state; commit I/O and background
 /// table builds run outside it.
@@ -287,12 +285,11 @@ class Engine {
   /// through untouched (the caller's next attempt simply retries).
   Status HandleForegroundFailureLocked(Status s);
 
-  Status WriteLegacyLocked(std::unique_lock<std::mutex>& l, const WriteBatch& batch);
   Status WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w);
-  /// Executor mode only: seals a full memtable, stalling first if the
-  /// immutable list or L0 is over its threshold. May release+reacquire `l`;
-  /// the caller must be the front writer (or hold writers idle) so the
-  /// active memtable cannot change underneath it.
+  /// Seals a full memtable, stalling first if the immutable list or L0 is
+  /// over its threshold. May release+reacquire `l`; the caller must be the
+  /// front writer (or hold writers idle) so the active memtable cannot
+  /// change underneath it.
   Status MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l);
   /// Seals mem_ (+ its WAL) into imm_ and starts a fresh memtable + WAL.
   Status RotateMemtableLocked();
@@ -310,13 +307,13 @@ class Engine {
   /// Waits until no background task is queued or running. Single-threaded
   /// executors are assisted (their queue is drained inline).
   void WaitBackgroundIdleLocked(std::unique_lock<std::mutex>& l);
+  /// Quiesces writers and background work, then seals the active memtable
+  /// and flushes every sealed memtable to L0 in the foreground.
+  Status FlushAllLocked(std::unique_lock<std::mutex>& l);
 
   /// Builds one L0/compaction-output SSTable from a memtable.
   Status BuildMemTable(const MemTable& mem, FileMeta* meta);
 
-  // Legacy synchronous flush/compaction (null-executor mode and Recover).
-  Status FlushMemTableLocked();
-  Status MaybeCompactLocked();
   /// One compaction step if any level is over its trigger.
   Status CompactOneStep(std::unique_lock<std::mutex>* l);
   /// Compacts L0 (all files) + overlapping L1 into L1.
@@ -348,6 +345,8 @@ class Engine {
   Env* env_ = nullptr;
   std::unique_ptr<BlockCache> block_cache_;
   BackgroundExecutor* executor_ = nullptr;
+  /// Set when opened without an executor; executor_ then points at it.
+  std::unique_ptr<InlineExecutor> inline_executor_;
 
   mutable std::mutex mu_;
   std::shared_ptr<MemTable> mem_;
@@ -368,6 +367,7 @@ class Engine {
 
   // Background state.
   bool bg_scheduled_ = false;  ///< a background task is queued or running
+  uint64_t bg_schedules_ = 0;  ///< background tasks scheduled so far
   bool shutting_down_ = false;
   /// Hard background error: while set the engine is in read-only degraded
   /// mode (writes return Unavailable, reads keep working). Cleared only by
@@ -376,7 +376,7 @@ class Engine {
   Status bg_error_;
   int bg_retry_attempts_ = 0;  ///< consecutive transient bg failures
   std::condition_variable bg_cv_;  ///< signalled when background work completes
-  std::shared_ptr<BgToken> bg_token_;
+  std::shared_ptr<BgToken> bg_token_ = std::make_shared<BgToken>();
 
   // Metric handles (hot-path increments are lock-free; see obs/metrics.h).
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -621,8 +621,14 @@ TEST(FaultChaosTest, CrashRecoveryPreservesAckedPrefix) {
     opts.memtable_bytes = 512 + rnd.Uniform(2048);
     opts.l0_compaction_trigger = 2;
     opts.sync_wal = (iter % 2 == 0);
-    opts.group_commit = (iter % 4 < 2);
     opts.block_cache_bytes = 1 << 16;
+    // Half the iterations hand background work to a sim executor whose loop
+    // never runs, so the crash lands with sealed memtables (and their WALs)
+    // still waiting on a flush; the other half use the engine's own inline
+    // executor, which flushes and compacts inside each write.
+    sim::EventLoop loop;
+    sim::SimExecutor unpumped(&loop);
+    if (iter % 4 < 2) opts.background_executor = &unpumped;
 
     // Crash point: after a pseudo-random number of acked writes.
     const int n = 5 + static_cast<int>(rnd.Uniform(45));

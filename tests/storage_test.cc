@@ -5,6 +5,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/random.h"
@@ -1395,28 +1397,61 @@ TEST(EngineWritePathTest, GroupCommitConcurrentWritersAllApplied) {
   }
 }
 
-TEST(EngineWritePathTest, LegacyModeMatchesGroupCommitResults) {
-  // group_commit=false routes through the pre-PR whole-op-under-lock path
-  // (the bench ablation baseline); both modes must produce identical state.
-  for (const bool group_commit : {false, true}) {
-    EngineOptions opts = SmallEngineOptions();
-    opts.group_commit = group_commit;
-    auto engine = *Engine::Open(opts);
-    Random rnd(51);
-    std::map<std::string, std::string> expected;
-    for (int i = 0; i < 500; ++i) {
-      const std::string key = "key" + std::to_string(rnd.Uniform(100));
-      const std::string value = rnd.String(64);
-      ASSERT_TRUE(engine->Put(key, value).ok());
-      expected[key] = value;
-    }
-    EXPECT_EQ(engine->LastSequence(), 500u) << "group_commit=" << group_commit;
-    for (const auto& [key, value] : expected) {
-      std::string got;
-      ASSERT_TRUE(engine->Get(key, &got).ok()) << key;
-      EXPECT_EQ(got, value);
-    }
+/// Writes `n` seeded random puts to an engine opened without an executor,
+/// checking after every put that the write finished its own background
+/// work; returns the final per-level (file count, bytes) layout.
+std::vector<std::pair<int, uint64_t>> WriteWithoutExecutor(uint64_t seed, int n) {
+  auto engine = *Engine::Open(SmallEngineOptions());
+  Random rnd(seed);
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < n && !::testing::Test::HasFailure(); ++i) {
+    const std::string key = "key" + std::to_string(rnd.Uniform(100));
+    const std::string value = rnd.String(256);
+    EXPECT_TRUE(engine->Put(key, value).ok());
+    expected[key] = value;
+    EXPECT_EQ(engine->NumImmutableMemTables(), 0) << "after put " << i;
+    EXPECT_EQ(engine->metrics()->Value("veloce_storage_bg_queue_depth"), 0)
+        << "after put " << i;
   }
+  EXPECT_EQ(engine->LastSequence(), static_cast<uint64_t>(n));
+  EXPECT_GT(engine->stats().num_flushes, 0u);
+  EXPECT_GT(engine->stats().num_compactions, 0u);
+  for (const auto& [key, value] : expected) {
+    std::string got;
+    EXPECT_TRUE(engine->Get(key, &got).ok()) << key;
+    EXPECT_EQ(got, value);
+  }
+  std::vector<std::pair<int, uint64_t>> layout;
+  for (int level = 0; level < Engine::kNumLevels; ++level) {
+    layout.emplace_back(engine->NumFilesAtLevel(level), engine->LevelBytes(level));
+  }
+  return layout;
+}
+
+TEST(EngineWritePathTest, NoExecutorFinishesBackgroundWorkInsideEachWrite) {
+  // Zero wiring: the engine drains its own InlineExecutor at the end of
+  // every write, so no sealed memtable or queued task outlives the write
+  // that created it, and the resulting layout is a pure function of the
+  // input.
+  const auto first = WriteWithoutExecutor(51, 2000);
+  const auto second = WriteWithoutExecutor(51, 2000);
+  EXPECT_EQ(first, second);
+}
+
+TEST(EngineWritePathTest, NoStallBelowCompactionTrigger) {
+  // An L0 stall threshold below the compaction trigger would wait for a
+  // compaction that is never scheduled; the trigger bounds the stall.
+  EngineOptions opts;
+  opts.memtable_bytes = 4 << 10;
+  opts.l0_compaction_trigger = 1000;
+  opts.l0_stall_files = 2;
+  auto engine = *Engine::Open(opts);
+  Random rnd(71);
+  for (int i = 0; engine->NumFilesAtLevel(0) < 5; ++i) {
+    ASSERT_TRUE(engine->Put("key" + std::to_string(i), rnd.String(256)).ok());
+  }
+  EXPECT_EQ(engine->stats().write_stalls, 0u);
+  EXPECT_EQ(engine->stats().num_compactions, 0u);
 }
 
 TEST(EngineWritePathTest, FlushDrainsImmutablesWithExecutor) {

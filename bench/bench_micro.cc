@@ -8,6 +8,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "kv/keys.h"
+#include "kv/mvcc.h"
 #include "sql/parser.h"
 #include "storage/engine.h"
 
@@ -101,6 +102,57 @@ void BM_KvTxnCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KvTxnCommit);
+
+// One key, "hot", with `versions` committed versions at ts 10, 20, ...: the
+// first half flushed to an SST together with 1,000 single-version
+// neighbours, the rest in the memtable. Reads at the newest timestamp should
+// cost the same at any depth.
+std::unique_ptr<storage::Engine> OpenMvccHistory(int versions) {
+  storage::EngineOptions opts;
+  opts.prefix_extractor = kv::MvccPrefixExtractor;
+  auto engine = std::move(storage::Engine::Open(opts)).value();
+  Random rng(6);
+  for (int i = 0; i < 1000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%05d", i);
+    storage::WriteBatch batch;
+    kv::MvccPutValue(&batch, key, {10, 0}, rng.String(64));
+    VELOCE_CHECK_OK(engine->Write(batch));
+  }
+  for (int v = 1; v <= versions; ++v) {
+    if (v == versions / 2 + 1) VELOCE_CHECK_OK(engine->Flush());
+    storage::WriteBatch batch;
+    kv::MvccPutValue(&batch, "hot", {v * 10, 0}, rng.String(64));
+    VELOCE_CHECK_OK(engine->Write(batch));
+  }
+  return engine;
+}
+
+void BM_MvccGetVersions(benchmark::State& state) {
+  const int versions = static_cast<int>(state.range(0));
+  auto engine = OpenMvccHistory(versions);
+  const kv::Timestamp newest{versions * 10, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kv::MvccGet(engine.get(), "hot", newest));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MvccGetVersions)->Arg(1)->Arg(1000);
+
+// The read-refresh probe of a txn that read "hot" at its newest version and
+// commits later with nothing written in between.
+void BM_MvccRefreshVersions(benchmark::State& state) {
+  const int versions = static_cast<int>(state.range(0));
+  auto engine = OpenMvccHistory(versions);
+  const kv::Timestamp newest{versions * 10, 0};
+  const kv::Timestamp commit{versions * 10 + 100, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kv::MvccAnyNewerVersions(engine.get(), "hot", "hou", newest, commit));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MvccRefreshVersions)->Arg(1)->Arg(1000);
 
 // --- SQL front-end --------------------------------------------------------------
 

@@ -10,6 +10,10 @@
 #   scripts/check.sh --full     # default path + full-mode scenario snapshots
 #                               # (BENCH_<scenario>.json into the repo root)
 #   scripts/check.sh --all      # release, asan, tsan in sequence
+#
+# Every stage of the chosen path runs even when an earlier one fails; the
+# run ends with the list of failed stages and exits non-zero if there is
+# any. Stages that need a build which failed are listed as not run.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -17,14 +21,62 @@ cd "${ROOT}"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-run_preset() {
+build_preset() {
   local preset="$1"
   echo "==> configure (${preset})"
   cmake --preset "${preset}" >/dev/null
   echo "==> build (${preset})"
   cmake --build --preset "${preset}" -j "${JOBS}"
+}
+
+test_preset() {
+  local preset="$1"
   echo "==> test (${preset})"
   ctest --preset "${preset}" -j "${JOBS}"
+}
+
+FAILED=()
+BROKEN_BUILDS=" "
+
+# stage <name> <preset> <command...>: runs the command in a subshell with
+# errexit on, so a failing command (or an `exit 1`) ends only this stage,
+# and records the stage if it fails. A stage whose preset's build failed is
+# recorded as not run: its binaries would be stale or missing.
+stage() {
+  local name="$1" preset="$2"
+  shift 2
+  if [[ "${BROKEN_BUILDS}" == *" ${preset} "* ]]; then
+    echo "==> ${name}: not run, the ${preset} build failed" >&2
+    FAILED+=("${name} (not run)")
+    return
+  fi
+  local rc
+  set +e
+  (set -e; "$@")
+  rc=$?
+  set -e
+  if [[ "${rc}" -ne 0 ]]; then
+    echo "==> ${name}: FAILED (exit ${rc})" >&2
+    FAILED+=("${name}")
+    if [[ "$1" == build_preset ]]; then BROKEN_BUILDS+="${preset} "; fi
+  fi
+}
+
+release_stages() {
+  stage "build (release)" release build_preset release
+  stage "test (release)" release test_preset release
+  stage "bench smoke" release bench_smoke
+  stage "chaos smoke" release chaos_smoke
+  stage "partition-chaos smoke" release netfault_smoke
+  stage "range-storm smoke" release rangestorm_smoke
+  stage "scenario smoke" release scenario_smoke
+  stage "fingerprint gate" release fingerprint_gate
+}
+
+sanitizer_stages() {
+  local preset="$1"
+  stage "build (${preset})" "${preset}" build_preset "${preset}"
+  stage "test (${preset})" "${preset}" test_preset "${preset}"
 }
 
 # Runs the point-lookup, write-path, and SQL-exec benches end to end and
@@ -183,12 +235,19 @@ rangestorm_full() {
 }
 
 case "${1:-}" in
-  "")     run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate ;;
-  --asan) run_preset asan ;;
-  --tsan) run_preset tsan ;;
-  --full) run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate; scenario_full; rangestorm_full ;;
-  --all)  run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; fingerprint_gate; run_preset asan; run_preset tsan ;;
+  "")     release_stages ;;
+  --asan) sanitizer_stages asan ;;
+  --tsan) sanitizer_stages tsan ;;
+  --full) release_stages
+          stage "scenario full run" release scenario_full
+          stage "range-storm scale bench" release rangestorm_full ;;
+  --all)  release_stages; sanitizer_stages asan; sanitizer_stages tsan ;;
   *)      echo "usage: scripts/check.sh [--asan|--tsan|--full|--all]" >&2; exit 2 ;;
 esac
 
+if [[ "${#FAILED[@]}" -gt 0 ]]; then
+  echo "FAILED stages:" >&2
+  printf '  %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
 echo "OK"

@@ -22,6 +22,26 @@ void AppendInvertedTimestamp(std::string* dst, Timestamp ts) {
   dst->push_back(static_cast<char>(inv));
 }
 
+// Decodes the kTsSuffixLen-byte suffix at `p`; the all-zero suffix is the
+// intent slot.
+void DecodeTsSuffix(const char* p, Timestamp* ts, bool* is_intent) {
+  uint64_t inv_wall = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    inv_wall = (inv_wall << 8) | static_cast<unsigned char>(p[i]);
+  }
+  uint32_t inv_logical = 0;
+  for (size_t i = 8; i < kTsSuffixLen; ++i) {
+    inv_logical = (inv_logical << 8) | static_cast<unsigned char>(p[i]);
+  }
+  *is_intent = inv_wall == 0 && inv_logical == 0;
+  if (*is_intent) {
+    *ts = Timestamp();
+    return;
+  }
+  ts->wall = static_cast<Nanos>(~inv_wall);
+  ts->logical = ~inv_logical;
+}
+
 struct IntentValue {
   TxnId txn_id;
   Timestamp ts;
@@ -94,20 +114,7 @@ bool DecodeMvccKey(Slice engine_key, std::string* user_key, Timestamp* ts,
                    bool* is_intent) {
   if (!OrderedGetString(&engine_key, user_key)) return false;
   if (engine_key.size() != kTsSuffixLen) return false;
-  uint64_t inv_wall = 0;
-  if (!OrderedGetUint64(&engine_key, &inv_wall)) return false;
-  uint32_t inv_logical = 0;
-  for (int i = 0; i < 4; ++i) {
-    inv_logical = (inv_logical << 8) | static_cast<unsigned char>(engine_key[i]);
-  }
-  if (inv_wall == 0 && inv_logical == 0) {
-    *is_intent = true;
-    *ts = Timestamp();
-    return true;
-  }
-  *is_intent = false;
-  ts->wall = static_cast<Nanos>(~inv_wall);
-  ts->logical = ~inv_logical;
+  DecodeTsSuffix(engine_key.data(), ts, is_intent);
   return true;
 }
 
@@ -132,87 +139,126 @@ void MvccPutIntent(storage::WriteBatch* batch, Slice user_key, TxnId txn_id,
 
 namespace {
 
-/// Shared read logic: positioned iteration over one user key's slots.
-/// Returns OK and fills result fields; callers interpret.
-struct KeyReadResult {
-  bool has_value = false;
-  bool tombstone = false;
-  std::string value;
-  std::optional<IntentMeta> conflict;
+// How many slots a read passes over with Next() before it repositions with
+// one Seek. A Next is cheaper than a Seek, which repositions every memtable
+// and table under the merging iterator, but a key's history can be
+// arbitrarily long; stepping a few slots and then seeking keeps each read's
+// cost independent of how many versions its key has taken.
+constexpr int kNextsBeforeSeek = 8;
+
+// One engine slot, viewed in place. `prefix` is the escaped user key (what
+// MvccPrefixExtractor returns); it points into the iterator's current key
+// and is valid only until the iterator moves.
+struct Slot {
+  Slice prefix;
+  Timestamp ts;
+  bool is_intent = false;
 };
 
-void SkipKey(storage::Iterator* it, Slice user_key);
+// Parses the slot under `it` without copying it. Only the shape is checked
+// (an escaped-key terminator, then the timestamp suffix); user-key bytes are
+// decoded only for the rows a scan returns.
+Status ParseSlot(const storage::Iterator& it, Slot* slot) {
+  const Slice key = it.key();
+  if (key.size() < kTsSuffixLen + 2) return Status::Corruption("bad MVCC key");
+  slot->prefix = MvccPrefixExtractor(key);
+  const char* suffix = slot->prefix.data() + slot->prefix.size();
+  if (suffix[-2] != '\x00' || suffix[-1] != '\x01') {
+    return Status::Corruption("bad MVCC key");
+  }
+  DecodeTsSuffix(suffix, &slot->ts, &slot->is_intent);
+  return Status::OK();
+}
 
-// Reads the visible state of `user_key` starting from an iterator positioned
-// at or after the key's intent slot. On return the iterator has consumed all
-// slots of this user key (positioned at the next user key or invalid).
-Status ReadKeyVersions(storage::Iterator* it, Slice user_key, Timestamp read_ts,
-                       TxnId own_txn, KeyReadResult* out) {
-  *out = KeyReadResult();
-  while (it->Valid()) {
-    std::string cur_key;
-    Timestamp ts;
-    bool is_intent = false;
-    if (!DecodeMvccKey(it->key(), &cur_key, &ts, &is_intent)) {
-      return Status::Corruption("bad MVCC key");
-    }
-    if (Slice(cur_key) != user_key) return Status::OK();  // next user key
-    if (is_intent) {
-      IntentValue intent;
-      if (!DecodeIntentValue(it->value(), &intent)) {
-        return Status::Corruption("bad intent value");
-      }
-      if (intent.txn_id == own_txn && own_txn != 0) {
-        // Transactions read their own provisional writes.
-        out->has_value = !intent.tombstone;
-        out->tombstone = intent.tombstone;
-        out->value = intent.value;
-        // Skip the rest of this key's versions.
-        SkipKey(it, user_key);
-        return Status::OK();
-      }
-      if (intent.ts <= read_ts) {
-        out->conflict = IntentMeta{intent.txn_id, intent.ts};
-        SkipKey(it, user_key);
-        return Status::OK();
-      }
-      // Intent above our read timestamp: invisible; fall through to versions.
-      it->Next();
-      continue;
-    }
-    if (ts > read_ts) {
-      it->Next();
-      continue;
-    }
-    // Newest visible version.
-    Slice raw = it->value();
-    if (raw.empty()) return Status::Corruption("empty MVCC value");
-    const char flag = raw[0];
-    raw.RemovePrefix(1);
-    if (flag == kFlagValue) {
-      out->has_value = true;
-      out->value = raw.ToString();
-    } else if (flag == kFlagTombstone) {
-      out->tombstone = true;
-    } else {
-      return Status::Corruption("unexpected value flag in version slot");
-    }
-    SkipKey(it, user_key);
-    return Status::OK();
+Status DecodePrefix(Slice prefix, std::string* user_key) {
+  if (!OrderedGetString(&prefix, user_key) || !prefix.empty()) {
+    return Status::Corruption("bad MVCC key");
   }
   return Status::OK();
 }
 
-// Advances the iterator past all remaining slots of user_key.
-void SkipKey(storage::Iterator* it, Slice user_key) {
-  while (it->Valid()) {
-    std::string cur_key;
-    Timestamp ts;
-    bool is_intent = false;
-    if (!DecodeMvccKey(it->key(), &cur_key, &ts, &is_intent)) return;
-    if (Slice(cur_key) != user_key) return;
+// Moves `it` from a slot of the key with escaped prefix `prefix` to that
+// key's newest version at or below `ts`, passing over the intent and newer
+// versions: up to kNextsBeforeSeek Next() calls, then one Seek to
+// prefix . inverted(ts), where that version (if any) sorts first. Sets
+// *found and fills *slot when the version exists; otherwise the iterator is
+// left at the next key's first slot, or exhausted.
+Status SeekVersionAtOrBelow(storage::Iterator* it, const std::string& prefix,
+                            Timestamp ts, Slot* slot, bool* found) {
+  *found = false;
+  for (int steps = 0; it->Valid(); ++steps) {
+    VELOCE_RETURN_IF_ERROR(ParseSlot(*it, slot));
+    if (slot->prefix != Slice(prefix)) return Status::OK();
+    if (!slot->is_intent && slot->ts <= ts) {
+      *found = true;
+      return Status::OK();
+    }
+    if (steps == kNextsBeforeSeek) {
+      std::string target = prefix;
+      AppendInvertedTimestamp(&target, ts);
+      it->Seek(target);
+    } else {
+      it->Next();
+    }
+  }
+  return Status::OK();
+}
+
+// Moves `it` past the remaining slots of the key with escaped prefix
+// `prefix`: up to kNextsBeforeSeek Next() calls, then one Seek to
+// PrefixEnd(prefix), the first engine key after every slot of that key.
+void NextKey(storage::Iterator* it, const std::string& prefix) {
+  for (int steps = 0; it->Valid(); ++steps) {
+    if (MvccPrefixExtractor(it->key()) != Slice(prefix)) return;
+    if (steps == kNextsBeforeSeek) {
+      it->Seek(PrefixEnd(prefix));
+      return;
+    }
     it->Next();
   }
+}
+
+// Reads the visible state of the key with escaped prefix `prefix` from an
+// iterator positioned at or after that key's intent slot, and stops at the
+// slot that decides it: the reader's own intent, a conflicting intent at or
+// below read_ts, or the newest version at or below read_ts. The rest of the
+// key's history is never visited; scans move on with NextKey. `out` starts
+// empty.
+Status ReadKeyVersions(storage::Iterator* it, const std::string& prefix,
+                       Timestamp read_ts, TxnId own_txn, MvccGetResult* out) {
+  if (!it->Valid()) return Status::OK();
+  Slot slot;
+  VELOCE_RETURN_IF_ERROR(ParseSlot(*it, &slot));
+  if (slot.prefix != Slice(prefix)) return Status::OK();
+  if (slot.is_intent) {
+    IntentValue intent;
+    if (!DecodeIntentValue(it->value(), &intent)) {
+      return Status::Corruption("bad intent value");
+    }
+    if (intent.txn_id == own_txn && own_txn != 0) {
+      // Transactions read their own provisional writes.
+      if (!intent.tombstone) out->value = std::move(intent.value);
+      return Status::OK();
+    }
+    if (intent.ts <= read_ts) {
+      out->conflict = IntentMeta{intent.txn_id, intent.ts};
+      return Status::OK();
+    }
+    // Intent above our read timestamp: invisible; passed over below.
+  }
+  bool found = false;
+  VELOCE_RETURN_IF_ERROR(SeekVersionAtOrBelow(it, prefix, read_ts, &slot, &found));
+  if (!found) return Status::OK();
+  Slice raw = it->value();
+  if (raw.empty()) return Status::Corruption("empty MVCC value");
+  const char flag = raw[0];
+  raw.RemovePrefix(1);
+  if (flag == kFlagValue) {
+    out->value = raw.ToString();
+  } else if (flag != kFlagTombstone) {
+    return Status::Corruption("unexpected value flag in version slot");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -226,11 +272,8 @@ StatusOr<MvccGetResult> MvccGet(storage::Engine* engine, Slice user_key,
   auto it = engine->NewBoundedIterator(EncodeIntentKey(user_key),
                                        PrefixEnd(prefix), prefix);
   it->SeekToFirst();
-  KeyReadResult kr;
-  VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), user_key, ts, own_txn, &kr));
   MvccGetResult result;
-  result.conflict = kr.conflict;
-  if (kr.has_value) result.value = std::move(kr.value);
+  VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), prefix, ts, own_txn, &result));
   return result;
 }
 
@@ -238,31 +281,34 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
                                   Slice end_key, Timestamp ts, uint64_t limit,
                                   TxnId own_txn) {
   MvccScanResult result;
+  // The escape encoding preserves order and no escaped key is a prefix of
+  // another, so the engine-key bound alone confines the scan to
+  // [start_key, end_key).
   std::string upper;
   if (!end_key.empty()) OrderedPutString(&upper, end_key);
   auto it = engine->NewBoundedIterator(EncodeIntentKey(start_key), upper);
   it->SeekToFirst();
+  std::string prefix;
   while (it->Valid()) {
-    std::string cur_key;
-    Timestamp key_ts;
-    bool is_intent = false;
-    if (!DecodeMvccKey(it->key(), &cur_key, &key_ts, &is_intent)) {
-      return Status::Corruption("bad MVCC key in scan");
-    }
-    if (!end_key.empty() && Slice(cur_key) >= end_key) break;
+    const Slice slot_prefix = MvccPrefixExtractor(it->key());
+    prefix.assign(slot_prefix.data(), slot_prefix.size());
     if (limit != 0 && result.entries.size() >= limit) {
-      result.resume_key = cur_key;
+      VELOCE_RETURN_IF_ERROR(DecodePrefix(prefix, &result.resume_key));
       break;
     }
-    KeyReadResult kr;
-    VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), Slice(cur_key), ts, own_txn, &kr));
-    if (kr.conflict.has_value()) {
-      result.conflict = kr.conflict;
+    MvccGetResult row;
+    VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), prefix, ts, own_txn, &row));
+    if (row.conflict.has_value()) {
+      result.conflict = row.conflict;
       return result;
     }
-    if (kr.has_value) {
-      result.entries.push_back({std::move(cur_key), std::move(kr.value)});
+    if (row.value.has_value()) {
+      MvccScanEntry entry;
+      VELOCE_RETURN_IF_ERROR(DecodePrefix(prefix, &entry.key));
+      entry.value = std::move(*row.value);
+      result.entries.push_back(std::move(entry));
     }
+    NextKey(it.get(), prefix);
   }
   return result;
 }
@@ -326,15 +372,18 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
   std::string end_bound;
   if (!end.empty()) OrderedPutString(&end_bound, end);
   auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound);
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    std::string user_key;
-    Timestamp ts;
-    bool is_intent = false;
-    if (!DecodeMvccKey(it->key(), &user_key, &ts, &is_intent)) {
-      return Status::Corruption("bad MVCC key");
-    }
-    if (is_intent) continue;  // provisional, not a committed version
-    if (ts > after && ts <= upto) return true;
+  it->SeekToFirst();
+  std::string prefix;
+  Slot slot;
+  while (it->Valid()) {
+    const Slice slot_prefix = MvccPrefixExtractor(it->key());
+    prefix.assign(slot_prefix.data(), slot_prefix.size());
+    // Only the newest committed version at or below `upto` can answer: if
+    // it is not above `after`, no older one is either.
+    bool found = false;
+    VELOCE_RETURN_IF_ERROR(SeekVersionAtOrBelow(it.get(), prefix, upto, &slot, &found));
+    if (found && slot.ts > after) return true;
+    NextKey(it.get(), prefix);
   }
   return false;
 }
@@ -347,21 +396,17 @@ StatusOr<uint64_t> MvccGarbageCollect(storage::Engine* engine, Slice start,
 
   storage::WriteBatch batch;
   uint64_t removed = 0;
-  std::string current_key;
+  std::string current_prefix;
   bool seen_boundary = false;  // newest version <= threshold already seen
+  Slot slot;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    std::string user_key;
-    Timestamp ts;
-    bool is_intent = false;
-    if (!DecodeMvccKey(it->key(), &user_key, &ts, &is_intent)) {
-      return Status::Corruption("bad MVCC key during GC");
-    }
-    if (user_key != current_key) {
-      current_key = user_key;
+    VELOCE_RETURN_IF_ERROR(ParseSlot(*it, &slot));
+    if (slot.prefix != Slice(current_prefix)) {
+      current_prefix.assign(slot.prefix.data(), slot.prefix.size());
       seen_boundary = false;
     }
-    if (is_intent) continue;
-    if (ts > threshold) continue;  // still needed by recent readers
+    if (slot.is_intent) continue;
+    if (slot.ts > threshold) continue;  // still needed by recent readers
     if (!seen_boundary) {
       seen_boundary = true;
       // The newest version at or below the threshold: keep it unless it is

@@ -23,6 +23,17 @@ namespace veloce::kv {
 /// sorts before every committed version. A seek at a read timestamp lands on
 /// the intent (if any), then the newest visible version.
 ///
+/// Read rule: every read stops at the slot that decides its answer and never
+/// walks the rest of a key's history, so its cost does not grow with the
+/// number of versions the key has taken. A point read stops at the reader's
+/// own intent, a conflicting intent, or the newest version at or below the
+/// read timestamp. Newer versions, and the rest of a key once it is decided,
+/// are passed over with a few Next() calls and then one Seek, to
+/// escaped(key) . inverted(read_ts) or to the end of the key's prefix. The
+/// refresh probe checks one version per key: the newest at or below `upto`.
+/// Slots are compared by their escaped prefix in place; only a row a scan
+/// returns has its user key decoded.
+///
 /// Value encoding: flags byte, then
 ///   kValue:     raw bytes
 ///   kTombstone: empty

@@ -10,6 +10,7 @@
 #include "kv/timestamp.h"
 #include "kv/transaction.h"
 #include "kv/txn.h"
+#include "storage/env.h"
 
 namespace veloce::kv {
 namespace {
@@ -255,6 +256,110 @@ TEST_F(MvccTest, AnyNewerVersionsProbe) {
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {50, 0}, {100, 0}));
   EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {60, 0}));
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {60, 0}, {200, 0}));
+}
+
+// Counts the positional reads the engine issues against SSTable files. With
+// the block cache off, every data-block load is one Read, so the count is
+// the number of blocks a read touched (plus a one-time filter load).
+class ReadCountingEnv final : public storage::Env {
+ public:
+  explicit ReadCountingEnv(storage::Env* base) : base_(base) {}
+
+  uint64_t reads() const { return reads_; }
+  void ResetReads() { reads_ = 0; }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<storage::WritableFile>* file) override {
+    return base_->NewWritableFile(fname, file);
+  }
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<storage::RandomAccessFile>* file) override {
+    std::unique_ptr<storage::RandomAccessFile> inner;
+    VELOCE_RETURN_IF_ERROR(base_->NewRandomAccessFile(fname, &inner));
+    *file = std::make_unique<CountingFile>(std::move(inner), &reads_);
+    return Status::OK();
+  }
+  Status DeleteFile(const std::string& fname) override { return base_->DeleteFile(fname); }
+  bool FileExists(const std::string& fname) override { return base_->FileExists(fname); }
+  Status GetChildren(const std::string& dir, std::vector<std::string>* out) override {
+    return base_->GetChildren(dir, out);
+  }
+  Status CreateDirIfMissing(const std::string& dir) override {
+    return base_->CreateDirIfMissing(dir);
+  }
+  Status RenameFile(const std::string& src, const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+ private:
+  class CountingFile final : public storage::RandomAccessFile {
+   public:
+    CountingFile(std::unique_ptr<storage::RandomAccessFile> inner, uint64_t* reads)
+        : inner_(std::move(inner)), reads_(reads) {}
+    Status Read(uint64_t offset, size_t n, std::string* out) const override {
+      ++*reads_;
+      return inner_->Read(offset, n, out);
+    }
+    uint64_t Size() const override { return inner_->Size(); }
+
+   private:
+    std::unique_ptr<storage::RandomAccessFile> inner_;
+    uint64_t* reads_;
+  };
+
+  storage::Env* base_;
+  uint64_t reads_ = 0;
+};
+
+// A read's cost must not grow with its key's history: 2,000 versions of one
+// key span hundreds of 256-byte blocks, yet a read at the newest timestamp,
+// a read deep in the history and a refresh probe each load only a handful.
+TEST(MvccCostTest, ReadsTouchFixedBlocksRegardlessOfHistory) {
+  auto mem_env = storage::NewMemEnv();
+  ReadCountingEnv env(mem_env.get());
+  storage::EngineOptions opts;
+  opts.env = &env;
+  opts.dir = "db";
+  opts.block_bytes = 256;
+  opts.block_cache_bytes = 0;
+  opts.prefix_extractor = MvccPrefixExtractor;
+  auto engine = std::move(storage::Engine::Open(opts)).value();
+
+  constexpr int kVersions = 2000;
+  for (int i = 1; i <= kVersions; ++i) {
+    storage::WriteBatch batch;
+    MvccPutValue(&batch, "hot", {i * 10, 0}, "value-" + std::to_string(i));
+    ASSERT_TRUE(engine->Write(batch).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  const Timestamp newest{kVersions * 10, 0};
+  constexpr uint64_t kMaxReads = 4;
+
+  // Walking the whole history costs one read per block it spans.
+  env.ResetReads();
+  auto all = engine->NewIterator();
+  for (all->SeekToFirst(); all->Valid(); all->Next()) {
+  }
+  const uint64_t history_blocks = env.reads();
+  ASSERT_GT(history_blocks, 100u);
+
+  env.ResetReads();
+  auto latest = *MvccGet(engine.get(), "hot", newest);
+  ASSERT_TRUE(latest.value.has_value());
+  EXPECT_EQ(*latest.value, "value-2000");
+  EXPECT_LE(env.reads(), kMaxReads) << "history spans " << history_blocks << " blocks";
+
+  env.ResetReads();
+  auto middle = *MvccGet(engine.get(), "hot", {kVersions * 5, 0});
+  ASSERT_TRUE(middle.value.has_value());
+  EXPECT_EQ(*middle.value, "value-1000");
+  EXPECT_LE(env.reads(), kMaxReads) << "history spans " << history_blocks << " blocks";
+
+  // A refresh with nothing newer than the newest version: the probe must
+  // decide from that one version, not by visiting the other 1,999.
+  env.ResetReads();
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine.get(), "hot", "hou", newest, newest));
+  EXPECT_LE(env.reads(), kMaxReads) << "history spans " << history_blocks << " blocks";
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -22,13 +25,144 @@ namespace {
 // MVCC vs. a reference model under randomized histories
 // ---------------------------------------------------------------------------
 
+// Reference MVCC model: per key, the committed history (ts -> value, or
+// nullopt for a tombstone) and at most one provisional intent.
+struct MvccModel {
+  struct Intent {
+    kv::TxnId txn = 0;
+    kv::Timestamp ts;
+    std::optional<std::string> value;  // nullopt: a deletion intent
+  };
+  std::map<std::string, std::map<kv::Timestamp, std::optional<std::string>>> versions;
+  std::map<std::string, Intent> intents;
+
+  // What MvccGet must return: the reader's own intent, else a foreign intent
+  // at or below ts as a conflict, else the newest version at or below ts.
+  kv::MvccGetResult Get(const std::string& key, kv::Timestamp ts,
+                        kv::TxnId own_txn) const {
+    kv::MvccGetResult out;
+    if (auto in = intents.find(key); in != intents.end()) {
+      if (own_txn != 0 && in->second.txn == own_txn) {
+        out.value = in->second.value;
+        return out;
+      }
+      if (in->second.ts <= ts) {
+        out.conflict = kv::IntentMeta{in->second.txn, in->second.ts};
+        return out;
+      }
+    }
+    auto history = versions.find(key);
+    if (history == versions.end()) return out;
+    auto version = history->second.upper_bound(ts);
+    if (version == history->second.begin()) return out;
+    out.value = std::prev(version)->second;
+    return out;
+  }
+
+  // What MvccScan must return: keys with any slot, in order, paged by limit
+  // (the resume key is the next key holding any slot), stopping at the first
+  // conflict.
+  kv::MvccScanResult Scan(const std::string& start, const std::string& end,
+                          kv::Timestamp ts, uint64_t limit, kv::TxnId own_txn) const {
+    std::set<std::string> keys;
+    for (const auto& [key, history] : versions) keys.insert(key);
+    for (const auto& [key, intent] : intents) keys.insert(key);
+    kv::MvccScanResult out;
+    for (auto key = keys.lower_bound(start); key != keys.end(); ++key) {
+      if (!end.empty() && *key >= end) break;
+      if (limit != 0 && out.entries.size() >= limit) {
+        out.resume_key = *key;
+        break;
+      }
+      kv::MvccGetResult got = Get(*key, ts, own_txn);
+      if (got.conflict.has_value()) {
+        out.conflict = got.conflict;
+        return out;
+      }
+      if (got.value.has_value()) out.entries.push_back({*key, *got.value});
+    }
+    return out;
+  }
+
+  // What MvccAnyNewerVersions must return.
+  bool AnyNewer(const std::string& start, const std::string& end,
+                kv::Timestamp after, kv::Timestamp upto) const {
+    for (auto h = versions.lower_bound(start); h != versions.end(); ++h) {
+      if (!end.empty() && h->first >= end) break;
+      for (const auto& [ts, value] : h->second) {
+        if (ts > after && ts <= upto) return true;
+      }
+    }
+    return false;
+  }
+};
+
+std::string Printable(const std::string& key) {
+  std::string out;
+  for (unsigned char c : key) {
+    if (c >= 0x20 && c < 0x7F) {
+      out.push_back(static_cast<char>(c));
+    } else {
+      static const char kHex[] = "0123456789abcdef";
+      out += "\\x";
+      out.push_back(kHex[c >> 4]);
+      out.push_back(kHex[c & 0xF]);
+    }
+  }
+  return out;
+}
+
+void ExpectSameConflict(const std::optional<kv::IntentMeta>& got,
+                        const std::optional<kv::IntentMeta>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want.has_value()) return;
+  EXPECT_EQ(got->txn_id, want->txn_id) << where;
+  EXPECT_EQ(got->ts, want->ts) << where;
+}
+
+void ExpectGetMatches(storage::Engine* engine, const MvccModel& model,
+                      const std::string& key, kv::Timestamp ts, kv::TxnId own_txn) {
+  const std::string where =
+      "get " + Printable(key) + "@" + ts.ToString() + " txn " + std::to_string(own_txn);
+  auto got = kv::MvccGet(engine, key, ts, own_txn);
+  ASSERT_TRUE(got.ok()) << where;
+  const kv::MvccGetResult want = model.Get(key, ts, own_txn);
+  ExpectSameConflict(got->conflict, want.conflict, where);
+  EXPECT_EQ(got->value, want.value) << where;
+}
+
+// Compares one scan page entry by entry, then follows its resume key until
+// the span is exhausted or a conflict stops it.
+void ExpectScanMatches(storage::Engine* engine, const MvccModel& model,
+                       std::string start, const std::string& end, kv::Timestamp ts,
+                       uint64_t limit, kv::TxnId own_txn) {
+  for (int page = 0;; ++page) {
+    ASSERT_LT(page, 1000) << "resume chain does not terminate";
+    const std::string where = "scan [" + Printable(start) + ", " + Printable(end) +
+                              ")@" + ts.ToString() + " limit " + std::to_string(limit) +
+                              " txn " + std::to_string(own_txn);
+    auto got = kv::MvccScan(engine, start, end, ts, limit, own_txn);
+    ASSERT_TRUE(got.ok()) << where;
+    const kv::MvccScanResult want = model.Scan(start, end, ts, limit, own_txn);
+    ASSERT_EQ(got->entries.size(), want.entries.size()) << where;
+    for (size_t i = 0; i < want.entries.size(); ++i) {
+      EXPECT_EQ(Printable(got->entries[i].key), Printable(want.entries[i].key)) << where;
+      EXPECT_EQ(got->entries[i].value, want.entries[i].value) << where;
+    }
+    ExpectSameConflict(got->conflict, want.conflict, where);
+    EXPECT_EQ(Printable(got->resume_key), Printable(want.resume_key)) << where;
+    if (want.conflict.has_value() || want.resume_key.empty()) return;
+    start = want.resume_key;
+  }
+}
+
 class MvccPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MvccPropertyTest, VisibilityMatchesModelAtEveryTimestamp) {
   auto engine = std::move(storage::Engine::Open({})).value();
   Random rng(GetParam());
-  // Model: per key, a sorted version history (ts -> value or tombstone).
-  std::map<std::string, std::map<kv::Timestamp, std::optional<std::string>>> model;
+  MvccModel model;
 
   Nanos wall = 10;
   for (int i = 0; i < 800; ++i) {
@@ -38,11 +172,11 @@ TEST_P(MvccPropertyTest, VisibilityMatchesModelAtEveryTimestamp) {
     storage::WriteBatch batch;
     if (rng.Bernoulli(0.2)) {
       kv::MvccPutTombstone(&batch, key, ts);
-      model[key][ts] = std::nullopt;
+      model.versions[key][ts] = std::nullopt;
     } else {
       const std::string value = rng.String(1 + rng.Uniform(40));
       kv::MvccPutValue(&batch, key, ts, value);
-      model[key][ts] = value;
+      model.versions[key][ts] = value;
     }
     ASSERT_TRUE(engine->Write(batch).ok());
   }
@@ -51,40 +185,142 @@ TEST_P(MvccPropertyTest, VisibilityMatchesModelAtEveryTimestamp) {
   for (int probe = 0; probe < 500; ++probe) {
     const std::string key = "k" + std::to_string(rng.Uniform(30));
     const kv::Timestamp read_ts{1 + static_cast<Nanos>(rng.Uniform(wall + 5)), 0};
-    auto result = kv::MvccGet(engine.get(), key, read_ts);
-    ASSERT_TRUE(result.ok());
-    // Model answer: newest version <= read_ts.
-    std::optional<std::string> expected;
-    auto it = model.find(key);
-    if (it != model.end()) {
-      auto version = it->second.upper_bound(read_ts);
-      if (version != it->second.begin()) {
-        --version;
-        expected = version->second;
-      }
-    }
-    if (expected.has_value()) {
-      ASSERT_TRUE(result->value.has_value()) << key << "@" << read_ts.ToString();
-      EXPECT_EQ(*result->value, *expected);
-    } else {
-      EXPECT_FALSE(result->value.has_value()) << key << "@" << read_ts.ToString();
-    }
+    ExpectGetMatches(engine.get(), model, key, read_ts, 0);
   }
 
-  // Scans at random timestamps match the model too.
+  // Scans at random timestamps match the model too, entry by entry.
   for (int probe = 0; probe < 30; ++probe) {
     const kv::Timestamp read_ts{1 + static_cast<Nanos>(rng.Uniform(wall + 5)), 0};
-    auto scan = kv::MvccScan(engine.get(), "k", "l", read_ts, 0);
-    ASSERT_TRUE(scan.ok());
-    size_t expected_count = 0;
-    for (const auto& [key, versions] : model) {
-      auto version = versions.upper_bound(read_ts);
-      if (version == versions.begin()) continue;
-      --version;
-      if (version->second.has_value()) ++expected_count;
-    }
-    EXPECT_EQ(scan->entries.size(), expected_count);
+    ExpectScanMatches(engine.get(), model, "k", "l", read_ts, 0, 0);
   }
+}
+
+// One key takes more than a thousand versions, split between SSTs and the
+// memtable by a flush, among neighbours whose escaped encodings share its
+// bytes; foreign and own intents sit above and below the read timestamps.
+// Point reads, paged scans and refresh probes all match the model before
+// and after the intents resolve.
+TEST_P(MvccPropertyTest, DeepHistoryWithIntentsMatchesModel) {
+  storage::EngineOptions opts;
+  opts.block_bytes = 256;  // the hot history spans many blocks
+  opts.prefix_extractor = kv::MvccPrefixExtractor;
+  auto engine = std::move(storage::Engine::Open(opts)).value();
+  Random rng(GetParam());
+  MvccModel model;
+
+  const std::string hot = "hot";
+  const std::vector<std::string> keys = {
+      "a", std::string("a\0", 2), std::string("a\0b", 3), "a\x01", "ab", "hos",
+      hot, std::string("hot\0", 4), "hot0", "hou", "k\xff", "k\xff\xff", "z"};
+  auto any_key = [&] { return keys[rng.Uniform(keys.size())]; };
+
+  Nanos wall = 10;
+  std::vector<kv::Timestamp> written;
+  auto put_version = [&](const std::string& key) {
+    wall += 1 + static_cast<Nanos>(rng.Uniform(3));
+    const kv::Timestamp ts{wall, static_cast<uint32_t>(rng.Uniform(3))};
+    written.push_back(ts);
+    storage::WriteBatch batch;
+    if (rng.Bernoulli(0.15)) {
+      kv::MvccPutTombstone(&batch, key, ts);
+      model.versions[key][ts] = std::nullopt;
+    } else {
+      const std::string value = rng.String(1 + rng.Uniform(24));
+      kv::MvccPutValue(&batch, key, ts, value);
+      model.versions[key][ts] = value;
+    }
+    ASSERT_TRUE(engine->Write(batch).ok());
+  };
+  auto put_intent = [&](const std::string& key) {
+    const kv::TxnId txn = 1 + rng.Uniform(3);
+    const kv::Timestamp ts{1 + static_cast<Nanos>(rng.Uniform(wall + 400)), 0};
+    written.push_back(ts);
+    const bool tombstone = rng.Bernoulli(0.2);
+    const std::string value = tombstone ? std::string() : rng.String(1 + rng.Uniform(24));
+    storage::WriteBatch batch;
+    kv::MvccPutIntent(&batch, key, txn, ts, tombstone, value);
+    ASSERT_TRUE(engine->Write(batch).ok());
+    model.intents[key] = {txn, ts,
+                          tombstone ? std::nullopt : std::optional<std::string>(value)};
+  };
+
+  // Every other write goes to the hot key: 1,100 versions plus its share of
+  // the rest. The first batch of intents lands in SSTs with the flush; the
+  // second stays in the memtable with the newest versions.
+  for (int i = 0; i < 2200; ++i) {
+    if (i == 700) {
+      put_intent(hot);
+      for (int n = 0; n < 3; ++n) put_intent(any_key());
+    }
+    if (i == 1100) {
+      ASSERT_TRUE(engine->Flush().ok());
+    }
+    if (i == 1800) {
+      for (int n = 0; n < 4; ++n) put_intent(any_key());
+    }
+    put_version(i % 2 == 0 ? hot : any_key());
+  }
+  ASSERT_GE(model.versions[hot].size(), 1000u);
+
+  // A third of the probe timestamps hit a written one exactly, so the
+  // inclusive read and refresh bounds are exercised.
+  auto random_ts = [&] {
+    if (rng.Bernoulli(0.33)) return written[rng.Uniform(written.size())];
+    return kv::Timestamp{1 + static_cast<Nanos>(rng.Uniform(wall + 500)),
+                         static_cast<uint32_t>(rng.Uniform(3))};
+  };
+  auto random_span = [&](std::string* start, std::string* end) {
+    *start = rng.Bernoulli(0.2) ? std::string() : any_key();
+    *end = rng.Bernoulli(0.3) ? std::string() : any_key();
+    if (!end->empty() && *end < *start) std::swap(*start, *end);
+  };
+  auto check_all = [&] {
+    for (int probe = 0; probe < 400; ++probe) {
+      std::string key = rng.Bernoulli(0.5) ? hot : any_key();
+      kv::Timestamp ts = random_ts();
+      if (!model.intents.empty() && rng.Bernoulli(0.2)) {
+        // Exactly at an intent's timestamp, where it starts to conflict.
+        auto in = std::next(model.intents.begin(), rng.Uniform(model.intents.size()));
+        key = in->first;
+        ts = in->second.ts;
+      }
+      const kv::TxnId own = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(3);
+      ExpectGetMatches(engine.get(), model, key, ts, own);
+    }
+    for (int probe = 0; probe < 60; ++probe) {
+      std::string start, end;
+      random_span(&start, &end);
+      const kv::TxnId own = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(3);
+      ExpectScanMatches(engine.get(), model, start, end, random_ts(), rng.Uniform(5), own);
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      std::string start, end;
+      random_span(&start, &end);
+      const kv::Timestamp after = random_ts();
+      const kv::Timestamp upto{after.wall + static_cast<Nanos>(rng.Uniform(60)),
+                               static_cast<uint32_t>(rng.Uniform(3))};
+      auto got = kv::MvccAnyNewerVersions(engine.get(), start, end, after, upto);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, model.AnyNewer(start, end, after, upto))
+          << "refresh [" << Printable(start) << ", " << Printable(end) << ") ("
+          << after.ToString() << ", " << upto.ToString() << "]";
+    }
+  };
+  check_all();
+
+  // Resolve every intent: commits become versions (possibly in the middle
+  // of the history), aborts vanish. Then check again, before and after the
+  // whole history is flushed.
+  for (const auto& [key, intent] : model.intents) {
+    const bool commit = rng.Bernoulli(0.6);
+    const kv::Timestamp commit_ts{intent.ts.wall + static_cast<Nanos>(rng.Uniform(20)), 0};
+    ASSERT_TRUE(kv::MvccResolveIntent(engine.get(), key, intent.txn, commit, commit_ts).ok());
+    if (commit) model.versions[key][commit_ts] = intent.value;
+  }
+  model.intents.clear();
+  check_all();
+  ASSERT_TRUE(engine->Flush().ok());
+  check_all();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MvccPropertyTest,

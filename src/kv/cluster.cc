@@ -8,7 +8,86 @@
 namespace veloce::kv {
 
 namespace {
+
 constexpr int kMaxConflictRetries = 16;
+
+bool IsWrite(const RequestUnion& r) {
+  return r.type == RequestType::kPut || r.type == RequestType::kDelete;
+}
+
+// Engine-key bounds of the user-key span [start, end): from the start key's
+// intent slot, which sorts before all of its versions, to the end key's
+// escaped prefix, which sorts before all of the end key's slots ("" = to
+// the end of the keyspace).
+struct EngineSpan {
+  std::string start;
+  std::string end;
+};
+
+EngineSpan EngineSpanOf(Slice start_key, Slice end_key) {
+  EngineSpan span{EncodeIntentKey(start_key), std::string()};
+  if (!end_key.empty()) OrderedPutString(&span.end, end_key);
+  return span;
+}
+
+// Write size of span clears and copies that run to completion (snapshot
+// transfer, move abort, tenant teardown).
+constexpr size_t kSpanChunkBytes = 1 << 20;
+
+// Deletes `engine`'s keys in `span` in writes that close once their batch
+// reaches `max_bytes`. With `cursor`, deletes one such chunk starting at
+// *cursor ("" = span start) and leaves *cursor just past the last key it
+// deleted, or "" when nothing was left to delete.
+Status ClearSpan(storage::Engine* engine, const EngineSpan& span, size_t max_bytes,
+                 std::string* cursor = nullptr) {
+  const bool resume = cursor != nullptr && !cursor->empty();
+  auto it = engine->NewBoundedIterator(resume ? *cursor : span.start, span.end);
+  storage::WriteBatch del;
+  std::string last;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    if (del.ByteSize() >= max_bytes) {
+      VELOCE_RETURN_IF_ERROR(engine->Write(del));
+      del.Clear();
+      if (cursor != nullptr) {
+        *cursor = last + '\0';
+        return Status::OK();
+      }
+    }
+    if (cursor != nullptr) last = it->key().ToString();
+    del.Delete(it->key());
+  }
+  if (del.Count() > 0) VELOCE_RETURN_IF_ERROR(engine->Write(del));
+  if (cursor != nullptr) *cursor = del.Count() > 0 ? last + '\0' : std::string();
+  return Status::OK();
+}
+
+// Copies `src`'s keys in `span` into `dst` in writes that close once their
+// batch reaches `max_bytes`. With `cursor`, copies one such chunk starting
+// at *cursor ("" = span start) and leaves *cursor at the key to resume
+// from, or "" once the span is copied.
+Status CopySpan(storage::Engine* src, storage::Engine* dst, const EngineSpan& span,
+                size_t max_bytes, std::string* cursor = nullptr) {
+  const bool resume = cursor != nullptr && !cursor->empty();
+  auto it = src->NewBoundedIterator(resume ? *cursor : span.start, span.end);
+  storage::WriteBatch batch;
+  std::string last;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    if (batch.ByteSize() >= max_bytes) {
+      VELOCE_RETURN_IF_ERROR(dst->Write(batch));
+      batch.Clear();
+      if (cursor != nullptr) {
+        *cursor = last + '\0';
+        return Status::OK();
+      }
+    }
+    if (cursor != nullptr) last = it->key().ToString();
+    batch.Put(it->key(), it->value());
+  }
+  if (batch.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(batch));
+  if (cursor != nullptr) cursor->clear();
+  return Status::OK();
+}
+
 }  // namespace
 
 KVCluster::KVCluster(KVClusterOptions options)
@@ -78,7 +157,7 @@ KVCluster::KVCluster(KVClusterOptions options)
       metrics_->counter("veloce_txn_oracle_refills_total", {{"mode", "async"}});
   oracle_ = std::make_unique<TimestampOracle>(&hlc_, oracle_opts);
   lease_gauge_cb_ = metrics_->AddCollectCallback([this] {
-    std::lock_guard<std::recursive_mutex> l(mu_);
+    std::lock_guard<std::mutex> l(mu_);
     std::vector<double> counts(nodes_.size(), 0);
     // Load is sampled in aggregate (total/max QPS, cooled count) rather
     // than per range: at 100k ranges a per-range series would swamp the
@@ -120,7 +199,7 @@ KVCluster::KVCluster(KVClusterOptions options)
     desc.replicas.push_back(static_cast<NodeId>(i));
   }
   desc.leaseholder = 0;
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   VELOCE_CHECK_OK(AddRangeLocked(desc));
 }
 
@@ -167,7 +246,7 @@ StatusOr<KVCluster::RangeState*> KVCluster::ResolveRangeLocked(
 }
 
 StatusOr<RangeDescriptor> KVCluster::LookupRange(Slice key) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   auto* self = const_cast<KVCluster*>(this);
   RangeState* range = self->LookupRangeLocked(key);
   if (range == nullptr) return Status::NotFound("no range for key");
@@ -222,8 +301,11 @@ StatusOr<NodeId> KVCluster::PickReadNodeLocked(const RangeState& range,
 }
 
 StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  if (req.commit_txn) return ExecuteOnePhaseLocked(req);
+  std::lock_guard<std::mutex> l(mu_);
+  if (req.commit_txn) {
+    if (req.txn_id == 0) return Status::InvalidArgument("1pc commit requires a txn");
+    if (req.requests.empty()) return Status::InvalidArgument("empty 1pc commit");
+  }
   BatchResponse resp;
   const bool read_only = req.IsReadOnly();
   std::vector<bool> counted(nodes_.size(), false);
@@ -232,83 +314,84 @@ StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
   Timestamp applied_write_ts;
 
   const Nanos load_now = clock_->Now();
-  for (size_t i = 0; i < req.requests.size(); ++i) {
-    const RequestUnion& r = req.requests[i];
-    VELOCE_ASSIGN_OR_RETURN(RangeState * range, ResolveRangeLocked(req, r.key));
+  auto check_and_load = [&](RangeState* range, const RequestUnion& r) {
     VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, r.key, r.end_key));
     range->load.Record(load_now, r.key, 1.0,
                        1.0 + static_cast<double>(r.key.size() + r.value.size()) /
                                  1024.0);
+    return Status::OK();
+  };
+  for (size_t i = 0; i < req.requests.size(); ++i) {
+    const RequestUnion& r = req.requests[i];
+    VELOCE_ASSIGN_OR_RETURN(RangeState * range, ResolveRangeLocked(req, r.key));
+    const bool is_write = IsWrite(r);
+    if (req.commit_txn && !is_write) {
+      return Status::InvalidArgument("1pc batch must contain only writes");
+    }
+    VELOCE_RETURN_IF_ERROR(check_and_load(range, r));
+    // Writes execute in groups: a txn's contiguous run of writes landing on
+    // one range shares one timestamp, one WriteBatch and one replication
+    // round (pipelined intent batches; a 1PC commit is its whole batch). A
+    // non-transactional write is a group of one.
+    size_t end = i + 1;
+    if (is_write && req.txn_id != 0) {
+      for (; end < req.requests.size(); ++end) {
+        const RequestUnion& nxt = req.requests[end];
+        if (!IsWrite(nxt) || !range->desc.Contains(nxt.key)) break;
+        VELOCE_RETURN_IF_ERROR(check_and_load(range, nxt));
+      }
+      if (req.commit_txn && end < req.requests.size()) {
+        const RequestUnion& misfit = req.requests[end];
+        if (!IsWrite(misfit)) {
+          return Status::InvalidArgument("1pc batch must contain only writes");
+        }
+        VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, misfit.key, misfit.end_key));
+        if (req.range_id != 0) {
+          // The cached descriptor went stale mid-batch (a split moved part of
+          // the write set); redirect rather than reporting a spurious
+          // spans-ranges fallback.
+          range_mismatch_c_->Inc();
+          return Status::RangeKeyMismatch("1pc write set no longer fits range " +
+                                          std::to_string(req.range_id));
+        }
+        return Status::NotSupported("1pc batch spans ranges");
+      }
+    }
     VELOCE_ASSIGN_OR_RETURN(NodeId serving_node, PickReadNodeLocked(*range, req, r));
-    const bool is_write =
-        r.type == RequestType::kPut || r.type == RequestType::kDelete;
-    if (is_write && !nodes_[range->desc.leaseholder]->live()) {
-      return Status::Unavailable("leaseholder node is not live");
-    }
     KVNode* leaseholder = nodes_[serving_node].get();
-    if (interceptor_ && !counted[leaseholder->id()]) {
-      VELOCE_RETURN_IF_ERROR(interceptor_(leaseholder->id(), req));
-    }
     // Per-node batch accounting: count the batch once per node, every
     // request individually.
     if (!counted[leaseholder->id()]) {
+      if (interceptor_) VELOCE_RETURN_IF_ERROR(interceptor_(leaseholder->id(), req));
       counted[leaseholder->id()] = true;
       leaseholder->RecordBatch(read_only);
     }
 
-    if (is_write && req.txn_id != 0) {
-      // Pipelined intent batches: gather the contiguous run of this txn's
-      // writes landing on the same range and execute them as one group —
-      // one timestamp, one WriteBatch, one replication round.
-      std::vector<const RequestUnion*> group;
-      group.push_back(&r);
-      size_t j = i + 1;
-      for (; j < req.requests.size(); ++j) {
-        const RequestUnion& nxt = req.requests[j];
-        const bool nxt_write =
-            nxt.type == RequestType::kPut || nxt.type == RequestType::kDelete;
-        if (!nxt_write || !range->desc.Contains(nxt.key)) break;
-        VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, nxt.key, nxt.end_key));
-        range->load.Record(load_now, nxt.key, 1.0,
-                           1.0 + static_cast<double>(nxt.key.size() +
-                                                     nxt.value.size()) /
-                                     1024.0);
-        group.push_back(&nxt);
+    if (is_write) {
+      const std::span<const RequestUnion> writes(&req.requests[i], end - i);
+      for (const RequestUnion& w : writes) {
+        leaseholder->RecordWriteRequest(w.key.size() + w.value.size());
       }
-      for (const RequestUnion* w : group) {
-        leaseholder->RecordWriteRequest(w->key.size() + w->value.size());
-      }
+      if (req.commit_txn) return ExecuteOnePhaseLocked(range, req);
       obs::ScopedSpan span(req.trace, "storage_write");
-      VELOCE_RETURN_IF_ERROR(ExecuteTxnWriteGroupLocked(range, req, group, &resp));
-      for (size_t k = 0; k < group.size(); ++k) resp.responses.emplace_back();
-      i = j - 1;
+      VELOCE_ASSIGN_OR_RETURN(const Timestamp ts, WriteTimestampLocked(range, req, writes));
+      if (req.txn_id != 0) {
+        VELOCE_RETURN_IF_ERROR(txn_registry_.BumpWriteTimestamp(req.txn_id, ts));
+      }
+      VELOCE_RETURN_IF_ERROR(ReplicateWritesLocked(range, req, writes, ts, &resp));
+      if (req.txn_id == 0 && applied_write_ts < ts) applied_write_ts = ts;
+      resp.responses.resize(resp.responses.size() + writes.size());
+      i = end - 1;
       continue;
     }
 
+    leaseholder->RecordReadRequest();
+    obs::ScopedSpan span(req.trace, "storage_read");
     ResponseUnion out;
-    switch (r.type) {
-      case RequestType::kGet:
-      case RequestType::kScan: {
-        leaseholder->RecordReadRequest();
-        obs::ScopedSpan span(req.trace, "storage_read");
-        VELOCE_RETURN_IF_ERROR(ExecuteReadLocked(range, req, r, &out, serving_node));
-        uint64_t bytes = out.value.size();
-        for (const auto& row : out.rows) {
-          bytes += row.key.size() + row.value.size();
-        }
-        leaseholder->AddReadBytes(bytes);
-        break;
-      }
-      case RequestType::kPut:
-      case RequestType::kDelete: {
-        leaseholder->RecordWriteRequest(r.key.size() + r.value.size());
-        obs::ScopedSpan span(req.trace, "storage_write");
-        Timestamp applied;
-        VELOCE_RETURN_IF_ERROR(ExecuteWriteLocked(range, req, r, &resp, &applied));
-        if (applied_write_ts < applied) applied_write_ts = applied;
-        break;
-      }
-    }
+    VELOCE_RETURN_IF_ERROR(ExecuteReadLocked(range, req, r, &out, serving_node));
+    uint64_t bytes = out.value.size();
+    for (const auto& row : out.rows) bytes += row.key.size() + row.value.size();
+    leaseholder->AddReadBytes(bytes);
     resp.responses.push_back(std::move(out));
   }
   if (!applied_write_ts.IsEmpty()) oracle_->Observe(applied_write_ts);
@@ -428,23 +511,13 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
       // Filtering / projection / fragment push-down: evaluate at the KV node
       // so filtered rows, projected-away columns, and (for aggregation
       // fragments) everything but partial states never cross the boundary.
-      // The batch hook sees the whole segment and handles every spec shape;
-      // the per-row hook is the filter/projection-only fallback.
-      if (fragment_hook_) {
-        VELOCE_ASSIGN_OR_RETURN(
-            std::vector<MvccScanEntry> kept,
-            fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
-        for (auto& e : kept) out->rows.push_back(std::move(e));
-      } else if (pushdown_hook_) {
-        for (auto& e : res.entries) {
-          VELOCE_ASSIGN_OR_RETURN(std::optional<std::string> kept,
-                                  pushdown_hook_(Slice(e.value), Slice(r.pushdown)));
-          if (!kept.has_value()) continue;
-          out->rows.push_back({std::move(e.key), std::move(*kept)});
-        }
-      } else {
+      if (!fragment_hook_) {
         return Status::NotSupported("scan pushdown requested but no hook registered");
       }
+      VELOCE_ASSIGN_OR_RETURN(
+          std::vector<MvccScanEntry> kept,
+          fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
+      for (auto& e : kept) out->rows.push_back(std::move(e));
     } else {
       for (auto& e : res.entries) out->rows.push_back(std::move(e));
     }
@@ -468,174 +541,80 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
   }
 }
 
-Status KVCluster::ExecuteWriteLocked(RangeState* range, const BatchRequest& req,
-                                     const RequestUnion& r, BatchResponse* resp,
-                                     Timestamp* applied_ts) {
+StatusOr<Timestamp> KVCluster::WriteTimestampLocked(
+    RangeState* range, const BatchRequest& req, std::span<const RequestUnion> writes) {
   storage::Engine* engine = LeaseholderEngineLocked(*range);
   if (engine == nullptr) {
     return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
   }
-  VELOCE_RETURN_IF_ERROR(CheckLeaseLocked(*range));
-  Timestamp write_ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
   // Serializability: never write below a timestamp someone already read at,
   // nor at or below the closed timestamp (follower reads rely on it).
-  const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key);
-  if (write_ts <= max_read) write_ts = max_read.Next();
-  const Timestamp closed = ClosedTimestamp();
-  if (write_ts <= closed) write_ts = closed.Next();
-
-  // Foreign intents block writers (write-write conflicts abort or wait).
-  for (int attempt = 0;; ++attempt) {
-    VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r.key));
-    if (!intent.has_value() || intent->txn_id == req.txn_id) break;
-    if (attempt >= kMaxConflictRetries) {
-      return Status::WriteIntentError("too many conflict retries");
-    }
-    VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r.key, *intent, req, true));
-  }
-
-  storage::WriteBatch batch;
-  const bool tombstone = r.type == RequestType::kDelete;
-  if (req.txn_id != 0) {
-    Status s = txn_registry_.BumpWriteTimestamp(req.txn_id, write_ts);
-    if (!s.ok()) return s;
-    MvccPutIntent(&batch, r.key, req.txn_id, write_ts, tombstone, r.value);
-  } else if (tombstone) {
-    MvccPutTombstone(&batch, r.key, write_ts);
-  } else {
-    MvccPutValue(&batch, r.key, write_ts, r.value);
-  }
-  {
-    obs::ScopedSpan span(req.trace, "replication");
-    VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
-  }
-  range->approx_bytes += r.key.size() + r.value.size();
-  if (write_ts > req.ts && resp->bumped_write_ts < write_ts) {
-    resp->bumped_write_ts = write_ts;
-  }
-  hlc_.Update(write_ts);
-  if (applied_ts != nullptr) *applied_ts = write_ts;
-  return Status::OK();
-}
-
-Status KVCluster::ExecuteTxnWriteGroupLocked(
-    RangeState* range, const BatchRequest& req,
-    const std::vector<const RequestUnion*>& writes, BatchResponse* resp) {
-  storage::Engine* engine = LeaseholderEngineLocked(*range);
-  if (engine == nullptr) {
-    return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
-  }
-  VELOCE_RETURN_IF_ERROR(CheckLeaseLocked(*range));
-  // One timestamp for the whole group: the maximum over every key's
-  // timestamp-cache constraint, the closed timestamp, and the request's.
-  Timestamp group_ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
-  for (const RequestUnion* r : writes) {
-    const Timestamp max_read = range->tscache.MaxReadTimestamp(r->key);
-    if (group_ts <= max_read) group_ts = max_read.Next();
+  Timestamp ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
+  for (const RequestUnion& w : writes) {
+    const Timestamp max_read = range->tscache.MaxReadTimestamp(w.key);
+    if (ts <= max_read) ts = max_read.Next();
   }
   const Timestamp closed = ClosedTimestamp();
-  if (group_ts <= closed) group_ts = closed.Next();
+  if (ts <= closed) ts = closed.Next();
 
   // Foreign intents block writers (write-write conflicts abort or wait).
-  for (const RequestUnion* r : writes) {
+  // The probe that finds them also reports the key's newest committed
+  // version, and the write lands above it: a write below a committed
+  // version would slip under it unseen, and a txn that read the key before
+  // that version committed would then commit a lost update (write-too-old).
+  for (const RequestUnion& w : writes) {
+    Timestamp newest;
     for (int attempt = 0;; ++attempt) {
-      VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r->key));
-      if (!intent.has_value() || intent->txn_id == req.txn_id) break;
+      VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, w.key, &newest));
+      if (!intent.has_value()) break;
+      if (intent->txn_id == req.txn_id) {
+        // A 1PC commit writes committed versions directly; a txn that
+        // already flushed intents falls back to the general commit path.
+        if (req.commit_txn) {
+          return Status::NotSupported("txn holds intents; 1pc unavailable");
+        }
+        break;
+      }
       if (attempt >= kMaxConflictRetries) {
         return Status::WriteIntentError("too many conflict retries");
       }
-      VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r->key, *intent, req, true));
+      VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, w.key, *intent, req, true));
     }
+    if (ts <= newest) ts = newest.Next();
   }
+  return ts;
+}
 
-  VELOCE_RETURN_IF_ERROR(txn_registry_.BumpWriteTimestamp(req.txn_id, group_ts));
+Status KVCluster::ReplicateWritesLocked(RangeState* range, const BatchRequest& req,
+                                        std::span<const RequestUnion> writes,
+                                        Timestamp ts, BatchResponse* resp) {
+  const bool intents = req.txn_id != 0 && !req.commit_txn;
   storage::WriteBatch batch;
   uint64_t bytes = 0;
-  for (const RequestUnion* r : writes) {
-    MvccPutIntent(&batch, r->key, req.txn_id, group_ts,
-                  r->type == RequestType::kDelete, r->value);
-    bytes += r->key.size() + r->value.size();
+  for (const RequestUnion& w : writes) {
+    const bool tombstone = w.type == RequestType::kDelete;
+    if (intents) {
+      MvccPutIntent(&batch, w.key, req.txn_id, ts, tombstone, w.value);
+    } else if (tombstone) {
+      MvccPutTombstone(&batch, w.key, ts);
+    } else {
+      MvccPutValue(&batch, w.key, ts, w.value);
+    }
+    bytes += w.key.size() + w.value.size();
   }
   {
     obs::ScopedSpan span(req.trace, "replication");
     VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
   }
   range->approx_bytes += bytes;
-  if (group_ts > req.ts && resp->bumped_write_ts < group_ts) {
-    resp->bumped_write_ts = group_ts;
-  }
-  hlc_.Update(group_ts);
+  if (ts > req.ts && resp->bumped_write_ts < ts) resp->bumped_write_ts = ts;
+  hlc_.Update(ts);
   return Status::OK();
 }
 
-StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req) {
-  if (req.txn_id == 0) return Status::InvalidArgument("1pc commit requires a txn");
-  if (req.requests.empty()) return Status::InvalidArgument("empty 1pc commit");
-  VELOCE_ASSIGN_OR_RETURN(RangeState * range,
-                          ResolveRangeLocked(req, req.requests[0].key));
-  const Nanos load_now = clock_->Now();
-  for (const auto& r : req.requests) {
-    if (r.type != RequestType::kPut && r.type != RequestType::kDelete) {
-      return Status::InvalidArgument("1pc batch must contain only writes");
-    }
-    VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, r.key, r.end_key));
-    if (!range->desc.Contains(r.key)) {
-      if (req.range_id != 0) {
-        // The cached descriptor went stale mid-batch (a split moved part of
-        // the write set); redirect rather than reporting a spurious
-        // spans-ranges fallback.
-        range_mismatch_c_->Inc();
-        return Status::RangeKeyMismatch(
-            "1pc write set no longer fits range " +
-            std::to_string(req.range_id));
-      }
-      return Status::NotSupported("1pc batch spans ranges");
-    }
-    range->load.Record(load_now, r.key, 1.0,
-                       1.0 + static_cast<double>(r.key.size() + r.value.size()) /
-                                 1024.0);
-  }
-  if (!nodes_[range->desc.leaseholder]->live()) {
-    return Status::Unavailable("leaseholder node is not live");
-  }
-  storage::Engine* engine = LeaseholderEngineLocked(*range);
-  if (engine == nullptr) {
-    return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
-  }
-  VELOCE_RETURN_IF_ERROR(CheckLeaseLocked(*range));
-  KVNode* leaseholder = nodes_[range->desc.leaseholder].get();
-  if (interceptor_) {
-    VELOCE_RETURN_IF_ERROR(interceptor_(leaseholder->id(), req));
-  }
-  leaseholder->RecordBatch(false);
-  for (const auto& r : req.requests) {
-    leaseholder->RecordWriteRequest(r.key.size() + r.value.size());
-  }
-
-  Timestamp ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
-  for (const auto& r : req.requests) {
-    const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key);
-    if (ts <= max_read) ts = max_read.Next();
-  }
-  const Timestamp closed = ClosedTimestamp();
-  if (ts <= closed) ts = closed.Next();
-
-  for (const auto& r : req.requests) {
-    for (int attempt = 0;; ++attempt) {
-      VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r.key));
-      if (!intent.has_value()) break;
-      if (intent->txn_id == req.txn_id) {
-        // The txn already flushed intents; 1PC no longer applies and the
-        // client falls back to the general commit path.
-        return Status::NotSupported("txn holds intents; 1pc unavailable");
-      }
-      if (attempt >= kMaxConflictRetries) {
-        return Status::WriteIntentError("too many conflict retries");
-      }
-      VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r.key, *intent, req, true));
-    }
-  }
-
+StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(RangeState* range,
+                                                         const BatchRequest& req) {
+  VELOCE_ASSIGN_OR_RETURN(Timestamp ts, WriteTimestampLocked(range, req, req.requests));
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(req.txn_id));
   if (rec.status == TxnStatus::kAborted) {
     return Status::TransactionAborted("aborted by a concurrent pusher");
@@ -658,23 +637,8 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
   // replication failure (quorum loss, WAL fault) leaves the record pending
   // — the client's Rollback still works and the registry never claims a
   // commit that wrote nothing.
-  storage::WriteBatch batch;
-  uint64_t bytes = 0;
-  for (const auto& r : req.requests) {
-    if (r.type == RequestType::kDelete) {
-      MvccPutTombstone(&batch, r.key, ts);
-    } else {
-      MvccPutValue(&batch, r.key, ts, r.value);
-    }
-    bytes += r.key.size() + r.value.size();
-  }
-  {
-    obs::ScopedSpan span(req.trace, "replication");
-    VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
-  }
+  VELOCE_RETURN_IF_ERROR(ReplicateWritesLocked(range, req, req.requests, ts, &resp));
   VELOCE_RETURN_IF_ERROR(txn_registry_.Commit(req.txn_id, ts));
-  range->approx_bytes += bytes;
-  hlc_.Update(ts);
   oracle_->Observe(ts);
   resp.responses.resize(req.requests.size());
   resp.commit_ts = ts;
@@ -956,37 +920,12 @@ Status KVCluster::SnapshotReplicaLocked(RangeState* range, NodeId to) {
   if (src == nullptr) {
     return Status::Unavailable("no caught-up source replica for snapshot");
   }
-  const std::string start_engine = EncodeIntentKey(range->desc.start_key);
-  std::string end_engine;
-  if (!range->desc.end_key.empty()) {
-    OrderedPutString(&end_engine, range->desc.end_key);
-  }
+  const EngineSpan span = EngineSpanOf(range->desc.start_key, range->desc.end_key);
   // Clear the stale span first: the lagging replica may hold engine keys
   // (e.g. intent slots) the source has since deleted, and a pure copy
   // would resurrect them.
-  {
-    auto it = dst->NewBoundedIterator(start_engine, end_engine);
-    storage::WriteBatch del;
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      del.Delete(it->key());
-      if (del.ByteSize() > (1 << 20)) {
-        VELOCE_RETURN_IF_ERROR(dst->Write(del));
-        del.Clear();
-      }
-    }
-    if (del.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(del));
-  }
-  auto iter = src->NewBoundedIterator(start_engine, end_engine);
-  storage::WriteBatch batch;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    batch.Put(iter->key(), iter->value());
-    if (batch.ByteSize() > (1 << 20)) {  // apply in ~1MB chunks
-      VELOCE_RETURN_IF_ERROR(dst->Write(batch));
-      batch.Clear();
-    }
-  }
-  if (batch.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(batch));
-  return Status::OK();
+  VELOCE_RETURN_IF_ERROR(ClearSpan(dst, span, kSpanChunkBytes));
+  return CopySpan(src, dst, span, kSpanChunkBytes);
 }
 
 void KVCluster::TruncateLogLocked(RangeState* range) {
@@ -1004,11 +943,29 @@ void KVCluster::TruncateLogLocked(RangeState* range) {
   range->log.TruncateTo(floor);
 }
 
+bool KVCluster::LivenessValidLocked(NodeId id, Nanos now) const {
+  const NodeLiveness& lv = liveness_[id];
+  return !lv.expired && now - lv.last_heartbeat <= options_.liveness_duration;
+}
+
 bool KVCluster::LeaseValidLocked(const RangeState& range) const {
   if (!liveness_enabled_) return true;
-  const NodeLiveness& lv = liveness_[range.desc.leaseholder];
-  if (range.desc.lease_epoch != lv.epoch || lv.expired) return false;
-  return clock_->Now() - lv.last_heartbeat <= options_.liveness_duration;
+  const NodeId holder = range.desc.leaseholder;
+  return range.desc.lease_epoch == liveness_[holder].epoch &&
+         LivenessValidLocked(holder, clock_->Now());
+}
+
+bool KVCluster::CaughtUpLocked(RangeState* range, NodeId id) {
+  const uint64_t committed = range->log.committed_index();
+  return range->log.Applied(id) >= committed ||
+         CatchUpReplicaLocked(range, id, committed).ok();
+}
+
+void KVCluster::TransferLeaseLocked(RangeState* range, NodeId to) {
+  range->desc.leaseholder = to;
+  range->desc.lease_epoch = liveness_[to].epoch;
+  range->log.BumpTerm();
+  lease_moves_c_->Inc();
 }
 
 Status KVCluster::CheckLeaseLocked(const RangeState& range) {
@@ -1023,7 +980,7 @@ Status KVCluster::CheckLeaseLocked(const RangeState& range) {
 // --- Node scaling ------------------------------------------------------------
 
 StatusOr<NodeId> KVCluster::AddNode(const std::string& region) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(
       std::make_unique<KVNode>(id, region, options_.engine_options, obs_));
@@ -1034,23 +991,46 @@ StatusOr<NodeId> KVCluster::AddNode(const std::string& region) {
 }
 
 Status KVCluster::MoveReplica(RangeId range_id, NodeId from, NodeId to) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  VELOCE_RETURN_IF_ERROR(StartReplicaMove(range_id, from, to));
+  std::lock_guard<std::mutex> l(mu_);
+  return MoveReplicaLocked(range_id, from, to);
+}
+
+Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
+  std::lock_guard<std::mutex> l(mu_);
+  return StartReplicaMoveLocked(range_id, from, to);
+}
+
+StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
+  std::lock_guard<std::mutex> l(mu_);
+  return StepReplicaMoveLocked(range_id, max_bytes);
+}
+
+Status KVCluster::FinishReplicaMove(RangeId range_id) {
+  std::lock_guard<std::mutex> l(mu_);
+  return FinishReplicaMoveLocked(range_id);
+}
+
+Status KVCluster::AbortReplicaMove(RangeId range_id) {
+  std::lock_guard<std::mutex> l(mu_);
+  return AbortReplicaMoveLocked(range_id);
+}
+
+Status KVCluster::MoveReplicaLocked(RangeId range_id, NodeId from, NodeId to) {
+  VELOCE_RETURN_IF_ERROR(StartReplicaMoveLocked(range_id, from, to));
   while (true) {
-    StatusOr<bool> done = StepReplicaMove(range_id);
+    StatusOr<bool> done = StepReplicaMoveLocked(range_id, kSpanChunkBytes);
     if (!done.ok()) {
-      (void)AbortReplicaMove(range_id);
+      (void)AbortReplicaMoveLocked(range_id);
       return done.status();
     }
     if (*done) break;
   }
-  Status s = FinishReplicaMove(range_id);
-  if (!s.ok()) (void)AbortReplicaMove(range_id);
+  Status s = FinishReplicaMoveLocked(range_id);
+  if (!s.ok()) (void)AbortReplicaMoveLocked(range_id);
   return s;
 }
 
-Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+Status KVCluster::StartReplicaMoveLocked(RangeId range_id, NodeId from, NodeId to) {
   auto it = ranges_.find(range_id);
   if (it == ranges_.end()) return Status::NotFound("no such range");
   RangeState* range = it->second.get();
@@ -1075,11 +1055,7 @@ Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
   NodeId source = 0;
   bool have_source = false;
   auto try_source = [&](NodeId n) {
-    if (have_source || !NodeUpLocked(n)) return;
-    if (range->log.Applied(n) < committed &&
-        !CatchUpReplicaLocked(range, n, committed).ok()) {
-      return;
-    }
+    if (have_source || !NodeUpLocked(n) || !CaughtUpLocked(range, n)) return;
     source = n;
     have_source = true;
   };
@@ -1098,8 +1074,7 @@ Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
   return Status::OK();
 }
 
-StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+StatusOr<bool> KVCluster::StepReplicaMoveLocked(RangeId range_id, size_t max_bytes) {
   auto it = ranges_.find(range_id);
   if (it == ranges_.end()) return Status::NotFound("no such range");
   RangeState* range = it->second.get();
@@ -1108,35 +1083,17 @@ StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
   }
   PendingMove& move = *range->pending_move;
   if (move.copy_done) return true;
-  if (!nodes_[move.to]->live() || nodes_[move.to]->engine() == nullptr) {
+  if (!NodeUpLocked(move.to)) {
     return Status::Unavailable("move target lost mid-stream");
   }
   storage::Engine* dst = nodes_[move.to]->engine();
-  const std::string span_start = EncodeIntentKey(range->desc.start_key);
-  std::string span_end;
-  if (!range->desc.end_key.empty()) {
-    OrderedPutString(&span_end, range->desc.end_key);
-  }
-  const std::string chunk_start = move.cursor.empty() ? span_start : move.cursor;
+  const EngineSpan span = EngineSpanOf(range->desc.start_key, range->desc.end_key);
   if (move.clearing) {
     // Phase 1: wipe the target's stale span (a node that held this span in
     // an earlier life may still carry engine keys — e.g. intent slots —
     // the source has since deleted; a pure copy would resurrect them).
-    auto iter = dst->NewBoundedIterator(chunk_start, span_end);
-    storage::WriteBatch del;
-    std::string last;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      last = iter->key().ToString();
-      del.Delete(iter->key());
-      if (del.ByteSize() >= max_bytes) break;
-    }
-    if (del.Count() > 0) {
-      VELOCE_RETURN_IF_ERROR(dst->Write(del));
-      move.cursor = last + '\0';
-      return false;
-    }
-    move.clearing = false;
-    move.cursor.clear();
+    VELOCE_RETURN_IF_ERROR(ClearSpan(dst, span, max_bytes, &move.cursor));
+    if (move.cursor.empty()) move.clearing = false;
     return false;
   }
   // Phase 2: stream the span from the source in ~max_bytes chunks. The
@@ -1146,30 +1103,13 @@ StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
   if (!NodeUpLocked(move.source)) {
     return Status::Unavailable("move source lost mid-stream");
   }
-  storage::Engine* src = nodes_[move.source]->engine();
-  auto iter = src->NewBoundedIterator(chunk_start, span_end);
-  storage::WriteBatch batch;
-  std::string last;
-  bool more = false;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    if (batch.ByteSize() >= max_bytes) {
-      more = true;
-      break;
-    }
-    last = iter->key().ToString();
-    batch.Put(iter->key(), iter->value());
-  }
-  if (batch.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(batch));
-  if (!more) {
-    move.copy_done = true;
-    return true;
-  }
-  move.cursor = last + '\0';
-  return false;
+  VELOCE_RETURN_IF_ERROR(
+      CopySpan(nodes_[move.source]->engine(), dst, span, max_bytes, &move.cursor));
+  move.copy_done = move.cursor.empty();
+  return move.copy_done;
 }
 
-Status KVCluster::FinishReplicaMove(RangeId range_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+Status KVCluster::FinishReplicaMoveLocked(RangeId range_id) {
   auto it = ranges_.find(range_id);
   if (it == ranges_.end()) return Status::NotFound("no such range");
   RangeState* range = it->second.get();
@@ -1208,19 +1148,13 @@ Status KVCluster::FinishReplicaMove(RangeId range_id) {
   range->log.SetApplied(move.to, committed);
   range->desc.generation++;
   replica_moves_c_->Inc();
-  if (range->desc.leaseholder == move.from) {
-    range->desc.leaseholder = move.to;
-    range->desc.lease_epoch = liveness_[move.to].epoch;
-    range->log.BumpTerm();
-    lease_moves_c_->Inc();
-  }
+  if (range->desc.leaseholder == move.from) TransferLeaseLocked(range, move.to);
   range->pending_move.reset();
   TruncateLogLocked(range);  // unpin
   return Status::OK();
 }
 
-Status KVCluster::AbortReplicaMove(RangeId range_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+Status KVCluster::AbortReplicaMoveLocked(RangeId range_id) {
   auto it = ranges_.find(range_id);
   if (it == ranges_.end()) return Status::NotFound("no such range");
   RangeState* range = it->second.get();
@@ -1230,28 +1164,13 @@ Status KVCluster::AbortReplicaMove(RangeId range_id) {
   TruncateLogLocked(range);  // unpin
   // Best-effort wipe of the partially streamed span from the target.
   storage::Engine* dst = nodes_[move.to]->engine();
-  if (dst != nullptr) {
-    const std::string span_start = EncodeIntentKey(range->desc.start_key);
-    std::string span_end;
-    if (!range->desc.end_key.empty()) {
-      OrderedPutString(&span_end, range->desc.end_key);
-    }
-    auto iter = dst->NewBoundedIterator(span_start, span_end);
-    storage::WriteBatch del;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      del.Delete(iter->key());
-      if (del.ByteSize() > (1 << 20)) {
-        VELOCE_RETURN_IF_ERROR(dst->Write(del));
-        del.Clear();
-      }
-    }
-    if (del.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(del));
-  }
-  return Status::OK();
+  if (dst == nullptr) return Status::OK();
+  return ClearSpan(dst, EngineSpanOf(range->desc.start_key, range->desc.end_key),
+                   kSpanChunkBytes);
 }
 
 StatusOr<int> KVCluster::RebalanceReplicas() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   // Count replicas per live node.
   auto replica_counts = [&] {
     std::vector<int> counts(nodes_.size(), 0);
@@ -1281,7 +1200,7 @@ StatusOr<int> KVCluster::RebalanceReplicas() {
     bool moved = false;
     for (auto& [rid, state] : ranges_) {
       if (!state->desc.HasReplica(most) || state->desc.HasReplica(least)) continue;
-      VELOCE_RETURN_IF_ERROR(MoveReplica(rid, most, least));
+      VELOCE_RETURN_IF_ERROR(MoveReplicaLocked(rid, most, least));
       ++moves;
       moved = true;
       break;
@@ -1293,14 +1212,14 @@ StatusOr<int> KVCluster::RebalanceReplicas() {
 
 StatusOr<uint64_t> KVCluster::GarbageCollectTenant(TenantId tenant,
                                                    Timestamp threshold) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   const std::string start = TenantPrefix(tenant);
   const std::string end = TenantPrefixEnd(tenant);
   uint64_t removed = 0;
-  for (auto& node : nodes_) {
-    if (!node->live()) continue;
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    if (!NodeUpLocked(id)) continue;
     VELOCE_ASSIGN_OR_RETURN(
-        uint64_t n, MvccGarbageCollect(node->engine(), start, end, threshold));
+        uint64_t n, MvccGarbageCollect(nodes_[id]->engine(), start, end, threshold));
     removed += n;
   }
   return removed;
@@ -1309,7 +1228,7 @@ StatusOr<uint64_t> KVCluster::GarbageCollectTenant(TenantId tenant,
 // --- Tenant keyspaces -------------------------------------------------------
 
 Status KVCluster::CreateTenantKeyspace(TenantId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   const std::string prefix = TenantPrefix(id);
   const std::string prefix_end = TenantPrefixEnd(id);
   RangeState* range = LookupRangeLocked(prefix);
@@ -1334,22 +1253,13 @@ Status KVCluster::CreateTenantKeyspace(TenantId id) {
 }
 
 Status KVCluster::DestroyTenantKeyspace(TenantId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  const std::string prefix = TenantPrefix(id);
-  const std::string prefix_end = TenantPrefixEnd(id);
-  // Delete the data from every node (tombstones via a range deletion scan).
+  std::lock_guard<std::mutex> l(mu_);
+  // Delete the data from every node that has an engine, down or not (a
+  // node whose crash-restart failed has none).
+  const EngineSpan span = EngineSpanOf(TenantPrefix(id), TenantPrefixEnd(id));
   for (auto& node : nodes_) {
-    std::string start_engine = EncodeIntentKey(prefix);
-    std::string end_engine;
-    OrderedPutString(&end_engine, prefix_end);
-    auto it = node->engine()->NewBoundedIterator(start_engine, end_engine);
-    storage::WriteBatch batch;
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      batch.Delete(it->key());
-    }
-    if (batch.Count() > 0) {
-      VELOCE_RETURN_IF_ERROR(node->engine()->Write(batch));
-    }
+    if (node->engine() == nullptr) continue;
+    VELOCE_RETURN_IF_ERROR(ClearSpan(node->engine(), span, kSpanChunkBytes));
   }
   // Merge directory entries: mark the tenant's ranges as unowned.
   for (auto& [rid, state] : ranges_) {
@@ -1367,7 +1277,7 @@ TxnRecord KVCluster::BeginTxn(int32_t priority) {
 Status KVCluster::StageTxn(TxnId id, const std::vector<std::string>& in_flight_keys,
                            Timestamp* staged_ts,
                            std::optional<Timestamp> validated_ts) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
   if (rec.status == TxnStatus::kAborted) {
     return Status::TransactionAborted("aborted by a concurrent pusher");
@@ -1397,7 +1307,7 @@ Status KVCluster::StageTxn(TxnId id, const std::vector<std::string>& in_flight_k
 Status KVCluster::CommitTxn(TxnId id, const std::vector<std::string>& intent_keys,
                             Timestamp* commit_ts,
                             std::optional<Timestamp> validated_ts) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
   Timestamp ts = rec.write_ts;
   if (rec.status == TxnStatus::kPending && validated_ts.has_value() &&
@@ -1420,30 +1330,19 @@ Status KVCluster::CommitTxn(TxnId id, const std::vector<std::string>& intent_key
   }
   VELOCE_RETURN_IF_ERROR(txn_registry_.Commit(id, ts));
   oracle_->Observe(ts);
-  for (const auto& key : intent_keys) {
-    RangeState* range = LookupRangeLocked(key);
-    if (range == nullptr) continue;
-    LogRecord rec;
-    rec.kind = LogRecord::Kind::kResolveIntent;
-    rec.key = key;
-    rec.txn_id = id;
-    rec.commit = true;
-    rec.ts = ts;
-    VELOCE_RETURN_IF_ERROR(ReplicateRecordLocked(range, std::move(rec), nullptr,
-                                                 /*require_quorum=*/false));
-  }
+  VELOCE_RETURN_IF_ERROR(ResolveIntentsLocked(id, intent_keys, /*commit=*/true, ts));
   if (commit_ts != nullptr) *commit_ts = ts;
   hlc_.Update(ts);
   return Status::OK();
 }
 
 StatusOr<PushResult> KVCluster::ResolveAbandonedStaging(TxnId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   return RecoverStagedTxnLocked(id, /*coordinator_abandoned=*/true);
 }
 
 size_t KVCluster::GarbageCollectTxns() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   // Expired staging records (the coordinator died mid-parallel-commit) are
   // finalized through the recovery procedure — implicit commit when every
   // declared write is present, abort with tscache fencing otherwise — so
@@ -1456,17 +1355,23 @@ size_t KVCluster::GarbageCollectTxns() {
 }
 
 Status KVCluster::AbortTxn(TxnId id, const std::vector<std::string>& intent_keys) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   Status s = txn_registry_.Abort(id);
   if (!s.ok() && !s.IsNotFound()) return s;
-  for (const auto& key : intent_keys) {
+  return ResolveIntentsLocked(id, intent_keys, /*commit=*/false, Timestamp());
+}
+
+Status KVCluster::ResolveIntentsLocked(TxnId id, const std::vector<std::string>& keys,
+                                       bool commit, Timestamp ts) {
+  for (const auto& key : keys) {
     RangeState* range = LookupRangeLocked(key);
     if (range == nullptr) continue;
     LogRecord rec;
     rec.kind = LogRecord::Kind::kResolveIntent;
     rec.key = key;
     rec.txn_id = id;
-    rec.commit = false;
+    rec.commit = commit;
+    rec.ts = ts;
     VELOCE_RETURN_IF_ERROR(ReplicateRecordLocked(range, std::move(rec), nullptr,
                                                  /*require_quorum=*/false));
   }
@@ -1475,7 +1380,7 @@ Status KVCluster::AbortTxn(TxnId id, const std::vector<std::string>& intent_keys
 
 StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice end,
                                            Timestamp after, Timestamp upto) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   (void)tenant;
   std::string cursor = start.ToString();
   while (true) {
@@ -1499,7 +1404,7 @@ StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice e
 // --- Ranges / leases ---------------------------------------------------------
 
 std::vector<RangeDescriptor> KVCluster::Ranges() const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   std::vector<RangeDescriptor> out;
   out.reserve(ranges_.size());
   for (const auto& [start, rid] : by_start_) {
@@ -1509,7 +1414,7 @@ std::vector<RangeDescriptor> KVCluster::Ranges() const {
 }
 
 int KVCluster::CountLeases(NodeId node) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   int count = 0;
   for (const auto& [rid, state] : ranges_) {
     if (state->desc.leaseholder == node) ++count;
@@ -1518,13 +1423,13 @@ int KVCluster::CountLeases(NodeId node) const {
 }
 
 uint64_t KVCluster::RangeLogCommittedIndex(RangeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   auto it = ranges_.find(id);
   return it == ranges_.end() ? 0 : it->second->log.committed_index();
 }
 
 uint64_t KVCluster::RangeReplicaApplied(RangeId id, NodeId node) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   auto it = ranges_.find(id);
   return it == ranges_.end() ? 0 : it->second->log.Applied(node);
 }
@@ -1532,31 +1437,28 @@ uint64_t KVCluster::RangeReplicaApplied(RangeId id, NodeId node) const {
 // --- Heartbeat liveness / epoch leases / catch-up ----------------------------
 
 void KVCluster::set_transport(ReplicaTransport* transport) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   transport_ = transport != nullptr ? transport : &passthrough_;
 }
 
 bool KVCluster::liveness_enabled() const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   return liveness_enabled_;
 }
 
 uint64_t KVCluster::NodeLivenessEpoch(NodeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   return id < liveness_.size() ? liveness_[id].epoch : 0;
 }
 
 bool KVCluster::NodeLivenessValid(NodeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   if (!liveness_enabled_) return true;
-  if (id >= liveness_.size()) return false;
-  const NodeLiveness& lv = liveness_[id];
-  return !lv.expired &&
-         clock_->Now() - lv.last_heartbeat <= options_.liveness_duration;
+  return id < liveness_.size() && LivenessValidLocked(id, clock_->Now());
 }
 
 void KVCluster::TickHeartbeats() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   const Nanos now = clock_->Now();
   if (!liveness_enabled_) {
     // Arming grace period: every node starts with a fresh record and gets
@@ -1615,32 +1517,22 @@ void KVCluster::MaybeReassignLeaseLocked(RangeState* range) {
   if (!liveness_enabled_) return;
   if (nodes_[range->desc.leaseholder]->live() && LeaseValidLocked(*range)) return;
   const Nanos now = clock_->Now();
-  const uint64_t committed = range->log.committed_index();
   for (NodeId n : range->desc.replicas) {
-    if (!NodeUpLocked(n)) continue;
-    const NodeLiveness& lv = liveness_[n];
-    if (lv.expired || now - lv.last_heartbeat > options_.liveness_duration) {
-      continue;
-    }
+    if (!NodeUpLocked(n) || !LivenessValidLocked(n, now)) continue;
     // The incoming leaseholder must hold everything the log committed —
     // a behind replica serving reads would un-linearize acked writes.
-    if (range->log.Applied(n) < committed &&
-        !CatchUpReplicaLocked(range, n, committed).ok()) {
-      continue;
-    }
-    if (range->desc.leaseholder == n && range->desc.lease_epoch == lv.epoch) {
+    if (!CaughtUpLocked(range, n)) continue;
+    if (range->desc.leaseholder == n &&
+        range->desc.lease_epoch == liveness_[n].epoch) {
       return;  // current lease is actually fine
     }
-    range->desc.leaseholder = n;
-    range->desc.lease_epoch = lv.epoch;
-    range->log.BumpTerm();
-    lease_moves_c_->Inc();
+    TransferLeaseLocked(range, n);
     return;
   }
 }
 
 Status KVCluster::CatchUpNode(NodeId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   if (id >= nodes_.size()) return Status::InvalidArgument("no such node");
   if (nodes_[id]->engine() == nullptr) {
     return Status::Unavailable("node has no engine (failed crash-restart)");
@@ -1667,22 +1559,15 @@ void KVCluster::SetNodeLive(NodeId id, bool live) {
 }
 
 void KVCluster::ShedLeases(NodeId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   for (auto& [rid, state] : ranges_) {
     if (state->desc.leaseholder != id) continue;
-    const uint64_t committed = state->log.committed_index();
     for (NodeId n : state->desc.replicas) {
       if (n == id || !NodeUpLocked(n)) continue;
       // The incoming leaseholder must hold everything the log committed —
       // a behind replica serving reads would un-linearize acked writes.
-      if (state->log.Applied(n) < committed &&
-          !CatchUpReplicaLocked(state.get(), n, committed).ok()) {
-        continue;
-      }
-      state->desc.leaseholder = n;
-      state->desc.lease_epoch = liveness_[n].epoch;
-      state->log.BumpTerm();
-      lease_moves_c_->Inc();
+      if (!CaughtUpLocked(state.get(), n)) continue;
+      TransferLeaseLocked(state.get(), n);
       break;
     }
     // No caught-up candidate: the lease stays put (and invalid, if the
@@ -1692,28 +1577,18 @@ void KVCluster::ShedLeases(NodeId id) {
 }
 
 void KVCluster::BalanceLeases() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   size_t next = 0;
   for (auto& [start, rid] : by_start_) {
     RangeState* state = ranges_[rid].get();
-    const uint64_t committed = state->log.committed_index();
     // Pick the next live, caught-up replica in round-robin order over the
     // replica set; a behind candidate that cannot replay the gap is skipped
     // rather than handed a lease over a divergent engine.
     for (size_t i = 0; i < state->desc.replicas.size(); ++i) {
       const NodeId candidate =
           state->desc.replicas[(next + i) % state->desc.replicas.size()];
-      if (!NodeUpLocked(candidate)) continue;
-      if (state->log.Applied(candidate) < committed &&
-          !CatchUpReplicaLocked(state, candidate, committed).ok()) {
-        continue;
-      }
-      if (state->desc.leaseholder != candidate) {
-        state->desc.leaseholder = candidate;
-        state->desc.lease_epoch = liveness_[candidate].epoch;
-        state->log.BumpTerm();
-        lease_moves_c_->Inc();
-      }
+      if (!NodeUpLocked(candidate) || !CaughtUpLocked(state, candidate)) continue;
+      if (state->desc.leaseholder != candidate) TransferLeaseLocked(state, candidate);
       break;
     }
     ++next;
@@ -1721,7 +1596,7 @@ void KVCluster::BalanceLeases() {
 }
 
 Status KVCluster::SplitRange(Slice split_key) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   return SplitRangeLocked(split_key);
 }
 
@@ -1762,7 +1637,7 @@ Status KVCluster::SplitRangeLocked(Slice split_key, SplitReason reason) {
 }
 
 StatusOr<int> KVCluster::MaybeSplitRanges() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   int splits = 0;
   // Collect candidates first; splitting mutates the maps.
   std::vector<RangeId> oversized;
@@ -1775,12 +1650,8 @@ StatusOr<int> KVCluster::MaybeSplitRanges() {
     // Find an approximate midpoint key by scanning the leaseholder engine.
     storage::Engine* engine = LeaseholderEngineLocked(*state);
     if (engine == nullptr) continue;  // leaseholder down; next sweep
-    std::string end_bound;
-    if (!state->desc.end_key.empty()) {
-      OrderedPutString(&end_bound, state->desc.end_key);
-    }
-    auto it = engine->NewBoundedIterator(EncodeIntentKey(state->desc.start_key),
-                                         end_bound);
+    const EngineSpan span = EngineSpanOf(state->desc.start_key, state->desc.end_key);
+    auto it = engine->NewBoundedIterator(span.start, span.end);
     uint64_t seen = 0;
     std::string mid_key;
     const uint64_t target = state->approx_bytes / 2;
@@ -1884,7 +1755,8 @@ Status KVCluster::MergeRangesLocked(RangeState* left, RangeState* right,
     if (!right->desc.HasReplica(n)) missing.push_back(n);
   }
   for (size_t i = 0; i < extras.size(); ++i) {
-    VELOCE_RETURN_IF_ERROR(MoveReplica(right->desc.range_id, extras[i], missing[i]));
+    VELOCE_RETURN_IF_ERROR(
+        MoveReplicaLocked(right->desc.range_id, extras[i], missing[i]));
   }
   // Every replica must be reachable and fully applied on BOTH logs: the
   // right log dies with the merge, and a replica missing right-side records
@@ -1929,7 +1801,7 @@ Status KVCluster::MergeRangesLocked(RangeState* left, RangeState* right,
 }
 
 Status KVCluster::MergeRanges(RangeId left_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   auto it = ranges_.find(left_id);
   if (it == ranges_.end()) return Status::NotFound("no such range");
   RangeState* left = it->second.get();
@@ -1946,7 +1818,7 @@ Status KVCluster::MergeRanges(RangeId left_id) {
 }
 
 StatusOr<int> KVCluster::MaybeMergeRanges() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   const Nanos now = clock_->Now();
   // Pass 1: advance the cooldown dwell clocks.
   for (auto& [rid, state] : ranges_) {
@@ -1982,7 +1854,7 @@ StatusOr<int> KVCluster::MaybeMergeRanges() {
 }
 
 double KVCluster::RangeQps(Slice key) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   auto* self = const_cast<KVCluster*>(this);
   RangeState* range = self->LookupRangeLocked(key);
   return range == nullptr ? 0.0 : range->load.Qps(clock_->Now());

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,23 +79,14 @@ struct KVClusterOptions {
 using BatchInterceptor =
     std::function<Status(NodeId leaseholder, const BatchRequest&)>;
 
-/// Row filter/projection evaluator for pushdown scans (the paper's
-/// future-work Section 8). Invoked at the KV node for every visible scan
-/// row when the request carries a spec. Returns:
-///   * nullopt            — the row is filtered out (not returned);
-///   * a (possibly projected/trimmed) value to return instead.
-/// The spec format is owned by whoever registers the hook (the SQL layer
-/// in this repository), keeping the KV layer schema-agnostic — in
-/// production both layers ship in the same binary, as here.
-using ScanPushdownHook = std::function<StatusOr<std::optional<std::string>>(
-    Slice row_value, Slice spec)>;
-
-/// Batch fragment evaluator for pushdown scans: invoked once per range
-/// segment with all visible rows, it returns the entries to ship back.
-/// Strictly more general than ScanPushdownHook — besides per-row filter
-/// and projection it can run whole query fragments (e.g. partial
-/// aggregation, returning one entry per group). Preferred over the
-/// per-row hook when both are registered.
+/// Pushdown evaluator for scans (the paper's future-work Section 8):
+/// invoked at the KV node once per range segment with all visible rows
+/// when the request carries a spec, it returns the entries to ship back —
+/// filtered and projected rows, or for aggregation fragments one partial
+/// state per group. The spec format is owned by whoever registers the hook
+/// (the SQL layer in this repository), keeping the KV layer
+/// schema-agnostic; in production both layers ship in the same binary, as
+/// here.
 using ScanFragmentHook = std::function<StatusOr<std::vector<MvccScanEntry>>(
     std::vector<MvccScanEntry> rows, Slice spec)>;
 
@@ -300,14 +292,8 @@ class KVCluster {
     interceptor_ = std::move(interceptor);
   }
 
-  /// Registers the scan pushdown evaluator (see ScanPushdownHook). Scans
+  /// Registers the pushdown evaluator (see ScanFragmentHook). Scans
   /// carrying a spec while no hook is registered fail with NotSupported.
-  void set_scan_pushdown_hook(ScanPushdownHook hook) {
-    pushdown_hook_ = std::move(hook);
-  }
-
-  /// Registers the batch fragment evaluator (see ScanFragmentHook). Takes
-  /// precedence over the per-row hook for scans carrying a spec.
   void set_scan_fragment_hook(ScanFragmentHook hook) {
     fragment_hook_ = std::move(hook);
   }
@@ -354,7 +340,7 @@ class KVCluster {
 
   enum class SplitReason { kManual, kSize, kLoad };
 
-  // All Locked methods require mu_.
+  // All Locked methods require mu_, and never call a method that takes it.
   RangeState* LookupRangeLocked(Slice key);
   Status CheckTenantBoundsLocked(const BatchRequest& req, Slice key,
                                  Slice end_key) const;
@@ -366,21 +352,30 @@ class KVCluster {
   StatusOr<NodeId> PickReadNodeLocked(const RangeState& range,
                                       const BatchRequest& req,
                                       const RequestUnion& r) const;
-  Status ExecuteWriteLocked(RangeState* range, const BatchRequest& req,
-                            const RequestUnion& r, BatchResponse* resp,
-                            Timestamp* applied_ts);
-  /// Executes a contiguous run of transactional writes landing on one range
-  /// as a single unit: one timestamp for the group, one BumpWriteTimestamp,
-  /// one storage WriteBatch, one replication round — the server half of
-  /// pipelined intent batches.
-  Status ExecuteTxnWriteGroupLocked(RangeState* range, const BatchRequest& req,
-                                    const std::vector<const RequestUnion*>& writes,
-                                    BatchResponse* resp);
+  // The KV write path (Send groups the writes and checks the lease). Every
+  // write — a non-transactional put (a group of one), a txn's pipelined
+  // intent batch, a one-phase commit — obeys one rule, applied once for the
+  // whole group.
+  /// The group's write timestamp: req.ts (or now) pushed above every key's
+  /// timestamp-cache read, above the closed timestamp, and above every
+  /// key's newest committed version, after resolving foreign intents on
+  /// the keys (bounded push/retry loop). Unavailable when the leaseholder
+  /// has no engine.
+  StatusOr<Timestamp> WriteTimestampLocked(RangeState* range,
+                                           const BatchRequest& req,
+                                           std::span<const RequestUnion> writes);
+  /// Writes the group at `ts` as one storage WriteBatch (intents for an
+  /// open txn, committed versions otherwise), replicates it, and records
+  /// its bytes, the bumped timestamp, and the HLC update.
+  Status ReplicateWritesLocked(RangeState* range, const BatchRequest& req,
+                               std::span<const RequestUnion> writes, Timestamp ts,
+                               BatchResponse* resp);
   /// One-phase commit: the batch carries the txn's entire buffered write
-  /// set; commits at a single timestamp with committed versions written
-  /// directly (no intents, no separate record round). NotSupported when the
-  /// writes span ranges (the client falls back to the general path).
-  StatusOr<BatchResponse> ExecuteOnePhaseLocked(const BatchRequest& req);
+  /// set (Send checked that it fits `range`); commits at a single timestamp
+  /// with committed versions written directly (no intents, no separate
+  /// record round).
+  StatusOr<BatchResponse> ExecuteOnePhaseLocked(RangeState* range,
+                                                const BatchRequest& req);
   /// Parallel-commit status recovery: a pusher found `id` in STAGING. If
   /// every declared in-flight write holds an intent at or below staged_ts
   /// the txn is implicitly committed and is finalized here; if a write is
@@ -424,6 +419,13 @@ class KVCluster {
   /// Snapshot transfer: clears the target's engine keyspan for the range
   /// and copies it from a fully-applied replica.
   Status SnapshotReplicaLocked(RangeState* range, NodeId to);
+  /// Bodies of MoveReplica and the pipelined-move steps; the public
+  /// wrappers take mu_ once, and rebalancing and merges call these.
+  Status MoveReplicaLocked(RangeId range_id, NodeId from, NodeId to);
+  Status StartReplicaMoveLocked(RangeId range_id, NodeId from, NodeId to);
+  StatusOr<bool> StepReplicaMoveLocked(RangeId range_id, size_t max_bytes);
+  Status FinishReplicaMoveLocked(RangeId range_id);
+  Status AbortReplicaMoveLocked(RangeId range_id);
   /// Drops fully-applied log prefixes (bounded retention while lagging).
   void TruncateLogLocked(RangeState* range);
   /// True while the leaseholder's lease is valid: liveness enforcement off,
@@ -431,6 +433,17 @@ class KVCluster {
   bool LeaseValidLocked(const RangeState& range) const;
   /// LeaseValidLocked as a Status (LeaseEpochMismatch + counter on reject).
   Status CheckLeaseLocked(const RangeState& range);
+  /// True while the node's liveness record is unexpired and fresh at `now`.
+  bool LivenessValidLocked(NodeId id, Nanos now) const;
+  /// Replays what replica `id` of `range` missed, if anything; true when it
+  /// then holds everything the range's log committed.
+  bool CaughtUpLocked(RangeState* range, NodeId id);
+  /// Hands the range's lease to `to` under `to`'s current liveness epoch.
+  void TransferLeaseLocked(RangeState* range, NodeId to);
+  /// Resolves a finished txn's intents on `keys` (commit at `ts`, or
+  /// abort) through each range's log, so every replica converges on it.
+  Status ResolveIntentsLocked(TxnId id, const std::vector<std::string>& keys,
+                              bool commit, Timestamp ts);
   /// Moves an invalid/orphaned lease to a caught-up replica whose liveness
   /// is valid (catching it up first if needed).
   void MaybeReassignLeaseLocked(RangeState* range);
@@ -469,13 +482,12 @@ class KVCluster {
   obs::ObsContext obs_;  // resolved context handed to nodes/engines
   std::vector<std::unique_ptr<KVNode>> nodes_;
 
-  mutable std::recursive_mutex mu_;
+  mutable std::mutex mu_;
   std::map<RangeId, std::unique_ptr<RangeState>> ranges_;
   std::map<std::string, RangeId> by_start_;  // start_key -> range
   RangeId next_range_id_ = 1;
   NodeId next_replica_target_ = 0;  // round-robin placement
   BatchInterceptor interceptor_;
-  ScanPushdownHook pushdown_hook_;
   ScanFragmentHook fragment_hook_;
 
   /// Per-node liveness record driven by TickHeartbeats. The epoch bumps

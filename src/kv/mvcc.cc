@@ -314,16 +314,33 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
 }
 
 StatusOr<std::optional<IntentMeta>> MvccGetIntent(storage::Engine* engine,
-                                                  Slice user_key) {
-  std::string raw;
-  Status s = engine->Get(EncodeIntentKey(user_key), &raw);
-  if (s.IsNotFound()) return std::optional<IntentMeta>();
-  VELOCE_RETURN_IF_ERROR(s);
-  IntentValue intent;
-  if (!DecodeIntentValue(Slice(raw), &intent)) {
-    return Status::Corruption("bad intent value");
+                                                  Slice user_key,
+                                                  Timestamp* newest_version) {
+  // One probe bounded to this key's slots, like MvccGet: the intent slot
+  // sorts first and the newest committed version right after it.
+  const std::string prefix = EncodeMvccPrefix(user_key);
+  auto it = engine->NewBoundedIterator(EncodeIntentKey(user_key),
+                                       PrefixEnd(prefix), prefix);
+  if (newest_version != nullptr) *newest_version = Timestamp();
+  std::optional<IntentMeta> result;
+  Slot slot;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    VELOCE_RETURN_IF_ERROR(ParseSlot(*it, &slot));
+    if (!slot.is_intent) {
+      if (newest_version != nullptr) *newest_version = slot.ts;
+      break;
+    }
+    IntentValue intent;
+    if (!DecodeIntentValue(it->value(), &intent)) {
+      return Status::Corruption("bad intent value");
+    }
+    result = IntentMeta{intent.txn_id, intent.ts};
+    if (newest_version == nullptr) break;
   }
-  return std::optional<IntentMeta>(IntentMeta{intent.txn_id, intent.ts});
+  // A slot the probe could not read may be the intent a writer must not
+  // overwrite, so a read failure is the answer, not "no intent".
+  VELOCE_RETURN_IF_ERROR(it->status());
+  return result;
 }
 
 Status MvccResolveIntent(storage::Engine* engine, Slice user_key, TxnId txn_id,

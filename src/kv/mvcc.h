@@ -31,6 +31,8 @@ namespace veloce::kv {
 /// are passed over with a few Next() calls and then one Seek, to
 /// escaped(key) . inverted(read_ts) or to the end of the key's prefix. The
 /// refresh probe checks one version per key: the newest at or below `upto`.
+/// The writer's probe (MvccGetIntent) reads at most two slots: the intent
+/// and the newest version.
 /// Slots are compared by their escaped prefix in place; only a row a scan
 /// returns has its user key decoded.
 ///
@@ -110,9 +112,12 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
                                   Slice end_key, Timestamp ts, uint64_t limit,
                                   TxnId own_txn = 0);
 
-/// Returns the intent on user_key, if any.
-StatusOr<std::optional<IntentMeta>> MvccGetIntent(storage::Engine* engine,
-                                                  Slice user_key);
+/// Returns the intent on user_key, if any. With `newest_version`, the same
+/// bounded probe also reports the timestamp of the key's newest committed
+/// version (a tombstone counts; empty when the key has none) — the writer's
+/// write-too-old bound.
+StatusOr<std::optional<IntentMeta>> MvccGetIntent(
+    storage::Engine* engine, Slice user_key, Timestamp* newest_version = nullptr);
 
 /// Converts an intent into a committed version at commit_ts (commit=true)
 /// or removes it (commit=false). A no-op if the intent is missing or owned

@@ -203,7 +203,8 @@ PushdownSpec MakeFilterSpec(const ScanConstraints& plan,
         std::unique(spec.projection.begin(), spec.projection.end()),
         spec.projection.end());
     // A filter's column must survive projection on the KV side; it does,
-    // because filters evaluate before projection in EvaluatePushdown.
+    // because filters evaluate before projection in
+    // EvaluatePushdownFragment.
   }
   return spec;
 }
@@ -348,15 +349,6 @@ std::string ProjectValue(const PushdownSpec& spec, Slice row_value,
 
 }  // namespace
 
-StatusOr<std::optional<std::string>> EvaluatePushdown(Slice row_value,
-                                                      Slice spec_bytes) {
-  VELOCE_ASSIGN_OR_RETURN(PushdownSpec spec, PushdownSpec::Decode(spec_bytes));
-  std::vector<std::pair<uint32_t, Datum>> cols;
-  VELOCE_RETURN_IF_ERROR(DecodeRowColumns(row_value, &cols));
-  if (!PassesFilters(spec, cols)) return std::optional<std::string>();
-  return std::optional<std::string>(ProjectValue(spec, row_value, cols));
-}
-
 StatusOr<std::vector<kv::MvccScanEntry>> EvaluatePushdownFragment(
     std::vector<kv::MvccScanEntry> rows, Slice spec_bytes) {
   // The whole point of the batch entry point: the spec decodes once per
@@ -428,8 +420,6 @@ StatusOr<std::vector<kv::MvccScanEntry>> EvaluatePushdownFragment(
 }
 
 void InstallPushdownHook(kv::KVCluster* cluster) {
-  cluster->set_scan_pushdown_hook(
-      [](Slice row_value, Slice spec) { return EvaluatePushdown(row_value, spec); });
   cluster->set_scan_fragment_hook([](std::vector<kv::MvccScanEntry> rows, Slice spec) {
     return EvaluatePushdownFragment(std::move(rows), spec);
   });

@@ -2,7 +2,6 @@
 #define VELOCE_SQL_PUSHDOWN_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,22 +95,18 @@ std::string EncodePartialAggRow(const std::vector<Datum>& group_values,
 Status DecodePartialAggRow(Slice in, std::vector<Datum>* group_values,
                            std::vector<AggState>* states);
 
-/// The per-row KV-side evaluator: applies a decoded spec to one row value
-/// (the column-id-tagged datum encoding of sql/row.h). Returns nullopt when
-/// a filter rejects the row, otherwise the (possibly projected) value.
-/// Aggregation fragments are ignored here (see EvaluatePushdownFragment).
-StatusOr<std::optional<std::string>> EvaluatePushdown(Slice row_value, Slice spec);
-
-/// The batch KV-side evaluator: decodes the spec once, then runs filters,
+/// The KV-side evaluator: decodes the spec once, then runs filters,
 /// projection and — when the spec carries an aggregation fragment —
-/// per-group partial aggregation over one range segment's rows. Without a
-/// fragment this returns exactly the rows the per-row evaluator keeps.
+/// per-group partial aggregation over one range segment's rows (row values
+/// in the column-id-tagged datum encoding of sql/row.h). Without a
+/// fragment it returns each row a filter keeps, with its (possibly
+/// projected) value.
 StatusOr<std::vector<kv::MvccScanEntry>> EvaluatePushdownFragment(
     std::vector<kv::MvccScanEntry> rows, Slice spec);
 
-/// Registers both evaluators on a KV cluster. In production SQL and KV
-/// ship in one binary, so the KV node links the same row codec; this
-/// mirrors that. Idempotent.
+/// Registers the evaluator on a KV cluster. In production SQL and KV ship
+/// in one binary, so the KV node links the same row codec; this mirrors
+/// that. Idempotent.
 void InstallPushdownHook(kv::KVCluster* cluster);
 
 }  // namespace veloce::sql

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/slice.h"
+#include "common/status.h"
 
 namespace veloce::storage {
 
@@ -86,6 +87,9 @@ class InternalIterator {
   virtual void Next() = 0;
   virtual Slice key() const = 0;    // internal key
   virtual Slice value() const = 0;
+  /// Non-OK once a read failed (e.g. a table block); the iterator then
+  /// ends early, so !Valid() alone does not mean the input is exhausted.
+  virtual Status status() const { return Status::OK(); }
 };
 
 }  // namespace veloce::storage

@@ -1069,6 +1069,7 @@ class Engine::PinnedIterator final : public Iterator {
   void Next() override { inner_->Next(); }
   Slice key() const override { return inner_->key(); }
   Slice value() const override { return inner_->value(); }
+  Status status() const override { return inner_->status(); }
 
  private:
   Engine* engine_;
@@ -1101,6 +1102,9 @@ class Engine::LazyTableIterator final : public InternalIterator {
   void Next() override { it_->Next(); }
   Slice key() const override { return it_->key(); }
   Slice value() const override { return it_->value(); }
+  Status status() const override {
+    return it_ != nullptr ? it_->status() : Status::OK();
+  }
 
  private:
   void Materialize() {
@@ -1131,6 +1135,7 @@ class Engine::BoundedIterator final : public Iterator {
   void Next() override { inner_->Next(); }
   Slice key() const override { return inner_->key(); }
   Slice value() const override { return inner_->value(); }
+  Status status() const override { return inner_->status(); }
 
  private:
   std::unique_ptr<Iterator> inner_;

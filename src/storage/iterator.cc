@@ -30,6 +30,10 @@ class MergingIterator final : public InternalIterator {
 
   Slice key() const override { return children_[current_]->key(); }
   Slice value() const override { return children_[current_]->value(); }
+  Status status() const override {
+    for (const auto& c : children_) VELOCE_RETURN_IF_ERROR(c->status());
+    return Status::OK();
+  }
 
  private:
   void FindSmallest() {
@@ -68,6 +72,7 @@ class UserIterator final : public Iterator {
 
   Slice key() const override { return Slice(key_); }
   Slice value() const override { return Slice(value_); }
+  Status status() const override { return internal_->status(); }
 
  private:
   // Advances until positioned at the newest visible, non-deleted version of

@@ -27,6 +27,8 @@ class Iterator {
   virtual void Next() = 0;
   virtual Slice key() const = 0;    // user key
   virtual Slice value() const = 0;
+  /// Non-OK once a read failed underneath; see InternalIterator::status.
+  virtual Status status() const { return Status::OK(); }
 };
 
 /// Wraps an internal iterator (already merged) into a user-facing Iterator.

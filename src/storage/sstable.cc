@@ -309,6 +309,7 @@ class Table::Iter final : public InternalIterator {
 
   Slice key() const override { return Slice(key_); }
   Slice value() const override { return Slice(value_); }
+  Status status() const override { return status_; }
 
  private:
   // Loads block_idx_ and positions at the first entry >= target (or first
@@ -316,7 +317,7 @@ class Table::Iter final : public InternalIterator {
   void LoadBlockAndPosition(Slice target) {
     valid_ = false;
     if (block_idx_ >= table_->index_entries_.size()) return;
-    if (!table_->ReadBlock(block_idx_, &block_).ok()) return;
+    if (!ReadBlock()) return;
     pos_ = 0;
     ParseNext();
     if (!target.empty()) {
@@ -325,13 +326,22 @@ class Table::Iter final : public InternalIterator {
     // If we ran off this block while seeking, spill into the next ones.
     while (!valid_ && block_idx_ + 1 < table_->index_entries_.size()) {
       ++block_idx_;
-      if (!table_->ReadBlock(block_idx_, &block_).ok()) return;
+      if (!ReadBlock()) return;
       pos_ = 0;
       ParseNext();
       if (!target.empty()) {
         while (valid_ && CompareInternalKey(Slice(key_), target) < 0) ParseNext();
       }
     }
+  }
+
+  // Loads block_idx_; a failure ends the iteration there and is kept for
+  // status() (the first one wins).
+  bool ReadBlock() {
+    Status s = table_->ReadBlock(block_idx_, &block_);
+    if (s.ok()) return true;
+    if (status_.ok()) status_ = std::move(s);
+    return false;
   }
 
   void ParseNext() {
@@ -364,6 +374,7 @@ class Table::Iter final : public InternalIterator {
   size_t pos_ = 0;
   std::string key_, value_;
   bool valid_ = false;
+  Status status_;
 };
 
 std::unique_ptr<InternalIterator> Table::NewIterator() const {

@@ -11,6 +11,7 @@
 #include "kv/cluster.h"
 #include "kv/keys.h"
 #include "kv/linearizability.h"
+#include "kv/mvcc.h"
 #include "kv/transaction.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
@@ -571,6 +572,38 @@ TEST(EngineFaultTest, ReadBitFlipSurfacesCorruption) {
   ASSERT_TRUE(engine->Get("key7", &value).ok());
 }
 
+// The writer's MVCC probe reads through an iterator. A table block it could
+// not read may hold a foreign intent, so the failure must surface as an
+// error rather than as "no intent" (which would let the write overwrite it).
+TEST(EngineFaultTest, WriteProbeSurfacesReadFaults) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get());
+  EngineOptions opts;
+  opts.env = &fault;
+  opts.block_cache_bytes = 0;
+  auto engine = *Engine::Open(opts);
+  WriteBatch batch;
+  kv::MvccPutValue(&batch, "k", {5, 0}, "committed");
+  kv::MvccPutIntent(&batch, "k", /*txn_id=*/7, {10, 0}, false, "pending");
+  ASSERT_TRUE(engine->Write(batch).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+
+  FaultRule rule;
+  rule.op = FaultOp::kRead;
+  rule.path_substr = ".sst";
+  rule.count = -1;
+  fault.AddRule(rule);
+  kv::Timestamp newest;
+  EXPECT_FALSE(kv::MvccGetIntent(engine.get(), "k", &newest).ok());
+
+  fault.ClearRules();
+  auto intent = kv::MvccGetIntent(engine.get(), "k", &newest);
+  ASSERT_TRUE(intent.ok()) << intent.status().ToString();
+  ASSERT_TRUE(intent->has_value());
+  EXPECT_EQ((*intent)->txn_id, 7u);
+  EXPECT_EQ(newest, (kv::Timestamp{5, 0}));
+}
+
 // ---------------------------------------------------------------------------
 // Chaos harness: seeded randomized crash-point testing
 // ---------------------------------------------------------------------------
@@ -903,6 +936,45 @@ TEST(FaultChaosTest, ComposedStorageAndNetworkFaultsStayLinearizable) {
   if (base_seed == 0xC4A05u && iters >= 100) {
     EXPECT_GT(storage_faults_fired, 0u) << "no storage fault ever fired";
     EXPECT_GT(mesh_faults_fired, 0u) << "no network fault ever fired";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A node whose crash-restart failed has no engine
+// ---------------------------------------------------------------------------
+
+/// Tenant teardown and tenant GC walk every node's engine. A node whose
+/// restart failed on an unreachable disk is left without one (and marked
+/// down); both must skip it instead of dereferencing a null engine, and
+/// still clear the tenant's data from the nodes that have an engine.
+TEST(FaultClusterTest, TenantTeardownSkipsEngineLessNode) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get());
+  kv::KVClusterOptions copts;
+  copts.num_nodes = 3;
+  copts.replication_factor = 3;
+  copts.engine_options.env = &fault;
+  kv::KVCluster cluster(copts);
+  VELOCE_CHECK_OK(cluster.CreateTenantKeyspace(10));
+  const std::string key = kv::AddTenantPrefix(10, "row");
+  kv::BatchRequest put;
+  put.tenant_id = 10;
+  put.ts = cluster.Now();
+  put.AddPut(key, "v");
+  ASSERT_TRUE(cluster.Send(put).ok());
+
+  fault.SetDown(true);
+  ASSERT_FALSE(cluster.node(0)->Restart().ok());
+  ASSERT_EQ(cluster.node(0)->engine(), nullptr);
+  cluster.SetNodeLive(0, false);
+  fault.SetDown(false);
+
+  ASSERT_TRUE(cluster.DestroyTenantKeyspace(10).ok());
+  ASSERT_TRUE(cluster.GarbageCollectTenant(10, cluster.Now()).ok());
+  for (kv::NodeId n = 1; n < 3; ++n) {
+    auto row = kv::MvccGet(cluster.node(n)->engine(), key, cluster.Now());
+    ASSERT_TRUE(row.ok());
+    EXPECT_FALSE(row->value.has_value()) << "tenant data left on node " << n;
   }
 }
 

@@ -258,6 +258,24 @@ TEST_F(MvccTest, AnyNewerVersionsProbe) {
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {60, 0}, {200, 0}));
 }
 
+TEST_F(MvccTest, GetIntentReportsNewestVersion) {
+  // The probe is bounded to the key: a neighbour's versions never leak in.
+  PutValue("k0", {30, 0}, "another key");
+  Timestamp newest;
+  EXPECT_FALSE((*MvccGetIntent(engine_.get(), "k", &newest)).has_value());
+  EXPECT_TRUE(newest.IsEmpty());
+  PutValue("k", {10, 0}, "v10");
+  PutTombstone("k", {20, 0});
+  EXPECT_FALSE((*MvccGetIntent(engine_.get(), "k", &newest)).has_value());
+  EXPECT_EQ(newest, (Timestamp{20, 0}));  // a tombstone is a version too
+  PutIntent("k", 7, {25, 0}, "pending");
+  auto intent = *MvccGetIntent(engine_.get(), "k", &newest);
+  ASSERT_TRUE(intent.has_value());
+  EXPECT_EQ(intent->txn_id, 7u);
+  EXPECT_EQ(intent->ts, (Timestamp{25, 0}));
+  EXPECT_EQ(newest, (Timestamp{20, 0}));
+}
+
 // Counts the positional reads the engine issues against SSTable files. With
 // the block cache off, every data-block load is one Read, so the count is
 // the number of blocks a read touched (plus a one-time filter load).
@@ -760,6 +778,82 @@ TEST_F(ClusterTest, NodeStatsCountBatches) {
 // Transactions end-to-end
 // ---------------------------------------------------------------------------
 
+// The KV write rule, for every kind of write: whatever timestamp a write
+// asks for, it lands above a read already served on its key, above the
+// closed timestamp, and above the key's newest committed version.
+TEST_F(ClusterTest, EveryWriteKindLandsAboveReadsClosedTsAndNewerVersions) {
+  enum class Kind { kPut, kIntentBatch, kOnePhase };
+  enum class Bound { kRead, kClosed, kNewerVersion };
+  const char* kind_names[] = {"put", "intent batch", "1pc"};
+  const char* bound_names[] = {"prior read", "closed timestamp", "newer version"};
+  int n = 0;
+  for (Kind kind : {Kind::kPut, Kind::kIntentBatch, Kind::kOnePhase}) {
+    for (Bound bound : {Bound::kRead, Bound::kClosed, Bound::kNewerVersion}) {
+      SCOPED_TRACE(std::string(kind_names[static_cast<int>(kind)]) + " above " +
+                   bound_names[static_cast<int>(bound)]);
+      const std::string key = Key(10, "rule-" + std::to_string(n++));
+      // Begun before the bound is set, so the txn's own timestamp is below it.
+      const TxnRecord txn = cluster_->BeginTxn();
+      Timestamp bound_ts;
+      switch (bound) {
+        case Bound::kRead: {
+          BatchRequest get = Req(10);
+          get.AddGet(key);
+          ASSERT_TRUE(cluster_->Send(get).ok());
+          bound_ts = get.ts;
+          break;
+        }
+        case Bound::kClosed:
+          bound_ts = cluster_->ClosedTimestamp();
+          break;
+        case Bound::kNewerVersion: {
+          BatchRequest put = Req(10);
+          put.AddPut(key, "newer");
+          ASSERT_TRUE(cluster_->Send(put).ok());
+          bound_ts = put.ts;
+          break;
+        }
+      }
+      // Every write asks for a timestamp below all three bounds.
+      BatchRequest write;
+      write.tenant_id = 10;
+      write.ts = Timestamp{cluster_->ClosedTimestamp().wall - kSecond, 0};
+      write.AddPut(key, "w");
+      Timestamp landed;
+      switch (kind) {
+        case Kind::kPut: {
+          auto resp = cluster_->Send(write);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          landed = resp->bumped_write_ts;
+          break;
+        }
+        case Kind::kIntentBatch: {
+          write.txn_id = txn.id;
+          write.AddPut(key + "-2", "w");
+          auto resp = cluster_->Send(write);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          landed = resp->bumped_write_ts;
+          auto intent = *MvccGetIntent(cluster_->node(0)->engine(), key);
+          ASSERT_TRUE(intent.has_value());
+          EXPECT_EQ(intent->ts, landed);
+          ASSERT_TRUE(cluster_->AbortTxn(txn.id, {key, key + "-2"}).ok());
+          break;
+        }
+        case Kind::kOnePhase: {
+          write.txn_id = txn.id;
+          write.commit_txn = true;
+          write.can_forward_ts = true;
+          auto resp = cluster_->Send(write);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          landed = resp->commit_ts;
+          break;
+        }
+      }
+      EXPECT_GT(landed, bound_ts);
+    }
+  }
+}
+
 class TransactionTest : public ClusterTest {};
 
 TEST_F(TransactionTest, CommitMakesWritesVisible) {
@@ -906,6 +1000,52 @@ TEST_F(TransactionTest, RefreshFailsWhenReadSetChanged) {
   ASSERT_TRUE(cluster_->Send(get).ok());
   ASSERT_TRUE(txn.Put(Key(10, "target"), "v").ok());
   EXPECT_EQ(txn.Commit().code(), Code::kTransactionRetry);
+}
+
+// Two read-modify-write txns on one counter, interleaved so that the
+// second writer asks for a timestamp below the first one's committed
+// version: A and B both read k; a plain read of k2 far above them raises
+// k2's timestamp cache, so B, writing k and k2, commits above that read;
+// then A writes k. Landing A's write below B's version would let A commit
+// an increment of the value B already replaced (both 0 -> 1). It must land
+// above it instead, so A's read refresh sees B's write and A retries.
+TEST_F(TransactionTest, LostUpdateIsRetriedNotCommitted) {
+  for (const bool classic : {false, true}) {
+    SCOPED_TRACE(classic ? "classic txns" : "default txns");
+    const TxnOptions opts = classic ? TxnOptions::Classic() : TxnOptions();
+    const std::string k = Key(10, classic ? "lost-classic" : "lost-default");
+    const std::string k2 = k + "-other";
+    BatchRequest init = Req(10);
+    init.AddPut(k, "0");
+    ASSERT_TRUE(cluster_->Send(init).ok());
+
+    Transaction a(cluster_.get(), 10, 0, nullptr, opts);
+    Transaction b(cluster_.get(), 10, 0, nullptr, opts);
+    std::optional<std::string> value;
+    ASSERT_TRUE(a.Get(k, &value).ok());
+    ASSERT_EQ(value, "0");
+    ASSERT_TRUE(b.Get(k, &value).ok());
+    ASSERT_EQ(value, "0");
+
+    BatchRequest high = Req(10);
+    high.ts = Timestamp{cluster_->Now().wall + 10 * kSecond, 0};
+    high.AddGet(k2);
+    ASSERT_TRUE(cluster_->Send(high).ok());
+
+    ASSERT_TRUE(b.Put(k, "1").ok());
+    ASSERT_TRUE(b.Put(k2, "b").ok());
+    ASSERT_TRUE(b.Commit().ok());
+    ASSERT_GT(b.commit_ts(), high.ts);
+
+    ASSERT_TRUE(a.Put(k, "1").ok());
+    EXPECT_EQ(a.Commit().code(), Code::kTransactionRetry);
+
+    BatchRequest get = Req(10);
+    get.AddGet(k);
+    auto resp = cluster_->Send(get);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->responses[0].value, "1");
+  }
 }
 
 TEST_F(TransactionTest, SerializabilityUnderConcurrentCounters) {

@@ -253,6 +253,14 @@ StatusOr<RangeDescriptor> KVCluster::LookupRange(Slice key) const {
   return range->desc;
 }
 
+StatusOr<TimestampCache::MaxRead> KVCluster::MaxReadTimestamp(Slice key,
+                                                             TxnId writer) const {
+  std::lock_guard<std::mutex> l(mu_);
+  RangeState* range = const_cast<KVCluster*>(this)->LookupRangeLocked(key);
+  if (range == nullptr) return Status::NotFound("no range for key");
+  return range->tscache.MaxReadTimestamp(key, writer);
+}
+
 Status KVCluster::CheckTenantBoundsLocked(const BatchRequest& req, Slice key,
                                           Slice end_key) const {
   if (req.tenant_id == kSystemTenantId) return Status::OK();  // operator path
@@ -469,7 +477,7 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
       }
       // Follower reads are below the closed timestamp; no writer can land
       // under them, so they need no timestamp-cache entry.
-      if (!follower) range->tscache.RecordRead(r.key, read_ts);
+      if (!follower) range->tscache.RecordRead(r.key, read_ts, req.txn_id);
       out->found = res.value.has_value();
       if (res.value.has_value()) out->value = std::move(*res.value);
       return Status::OK();
@@ -506,7 +514,9 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
       break;
     }
     if (!done) return Status::WriteIntentError("too many conflict retries");
-    if (!cur_follower) cur_range->tscache.RecordReadSpan(cursor, scan_end, read_ts);
+    if (!cur_follower) {
+      cur_range->tscache.RecordReadSpan(cursor, scan_end, read_ts, req.txn_id);
+    }
     if (!r.pushdown.empty()) {
       // Filtering / projection / fragment push-down: evaluate at the KV node
       // so filtered rows, projected-away columns, and (for aggregation
@@ -547,12 +557,16 @@ StatusOr<Timestamp> KVCluster::WriteTimestampLocked(
   if (engine == nullptr) {
     return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
   }
-  // Serializability: never write below a timestamp someone already read at,
-  // nor at or below the closed timestamp (follower reads rely on it).
+  // Serializability: land above every other txn's read of a key and at or
+  // above the writer's own (a txn's reads never push its own writes), and
+  // above the closed timestamp (follower reads rely on it).
   Timestamp ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
   for (const RequestUnion& w : writes) {
-    const Timestamp max_read = range->tscache.MaxReadTimestamp(w.key);
-    if (ts <= max_read) ts = max_read.Next();
+    const TimestampCache::MaxRead max_read =
+        range->tscache.MaxReadTimestamp(w.key, req.txn_id);
+    if (max_read.own ? ts < max_read.ts : ts <= max_read.ts) {
+      ts = max_read.own ? max_read.ts : max_read.ts.Next();
+    }
   }
   const Timestamp closed = ClosedTimestamp();
   if (ts <= closed) ts = closed.Next();
@@ -696,10 +710,11 @@ StatusOr<PushResult> KVCluster::RecoverStagedTxnLocked(TxnId id,
   }
   // Abandoned staging that never completed. Poison the missing keys in the
   // tscache at staged_ts so a late pipelined write cannot land at or below
-  // it and retroactively satisfy the stale staging, then abort.
+  // it and retroactively satisfy the stale staging, then abort. The poison
+  // is ownerless: the write it must push is the staged txn's own.
   for (const auto& key : missing) {
     RangeState* range = LookupRangeLocked(key);
-    if (range != nullptr) range->tscache.RecordRead(key, rec.staged_ts);
+    if (range != nullptr) range->tscache.RecordRead(key, rec.staged_ts, /*reader=*/0);
   }
   VELOCE_RETURN_IF_ERROR(txn_registry_.Abort(id));
   PushResult pr;
@@ -1379,22 +1394,34 @@ Status KVCluster::ResolveIntentsLocked(TxnId id, const std::vector<std::string>&
 }
 
 StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice end,
-                                           Timestamp after, Timestamp upto) {
+                                           Timestamp after, Timestamp upto,
+                                           TxnId txn_id) {
   std::lock_guard<std::mutex> l(mu_);
   (void)tenant;
   std::string cursor = start.ToString();
   while (true) {
     RangeState* range = LookupRangeLocked(cursor);
     if (range == nullptr) return Status::NotFound("no range for refresh span");
+    storage::Engine* engine = LeaseholderEngineLocked(*range);
+    if (engine == nullptr) {
+      return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
+    }
     std::string span_end = end.ToString();
     const std::string& range_end = range->desc.end_key;
     if (!range_end.empty() && (span_end.empty() || Slice(range_end) < Slice(span_end))) {
       span_end = range_end;
     }
-    VELOCE_ASSIGN_OR_RETURN(bool any,
-                            MvccAnyNewerVersions(LeaseholderEngineLocked(*range),
-                                                 cursor, span_end, after, upto));
+    VELOCE_ASSIGN_OR_RETURN(bool any, MvccAnyNewerVersions(engine, cursor, span_end,
+                                                           after, upto, txn_id));
     if (any) return true;
+    // The refreshed read now holds at `upto`: record it there, as a read,
+    // so no other txn's write can land under it. A one-key span is a point,
+    // which keeps refreshes from filling the span list.
+    if (span_end == cursor + std::string(1, '\0')) {
+      range->tscache.RecordRead(cursor, upto, txn_id);
+    } else {
+      range->tscache.RecordReadSpan(cursor, span_end, upto, txn_id);
+    }
     if (range_end.empty()) return false;
     if (!end.empty() && Slice(range_end) >= end) return false;
     cursor = range_end;
@@ -1617,6 +1644,10 @@ Status KVCluster::SplitRangeLocked(Slice split_key, SplitReason reason) {
   // directory, the left range, and the metrics exactly as they were.
   VELOCE_RETURN_IF_ERROR(AddRangeLocked(right));
   RangeState* right_state = ranges_[right.range_id].get();
+  // The right half keeps every read the parent recorded: a copy is exact,
+  // and an empty cache would let a write land under a read served before
+  // the split.
+  right_state->tscache = range->tscache;
   range->desc.end_key = split_key.ToString();
   range->approx_bytes /= 2;  // rough: data divides between halves
   right_state->approx_bytes = range->approx_bytes;

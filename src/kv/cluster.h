@@ -222,13 +222,20 @@ class KVCluster {
   /// therefore cannot leak staging records forever.
   size_t GarbageCollectTxns();
   /// True if any key in [start,end) has a committed version in (after, upto]
-  /// — the read-refresh check used to move a txn's read timestamp forward.
+  /// or an intent of a txn other than `txn_id` at or below upto — the
+  /// read-refresh check used to move a txn's read timestamp forward. Each
+  /// range's part of the span that passes is recorded in its timestamp
+  /// cache at `upto`, read by `txn_id`, so the refreshed read is protected
+  /// exactly as an original read at `upto` would be.
   StatusOr<bool> AnyNewerVersions(TenantId tenant, Slice start, Slice end,
-                                  Timestamp after, Timestamp upto);
+                                  Timestamp after, Timestamp upto, TxnId txn_id);
 
   // --- Ranges / leases (introspection & experiment control) ---------------
   std::vector<RangeDescriptor> Ranges() const;
   StatusOr<RangeDescriptor> LookupRange(Slice key) const;
+  /// The timestamp cache's answer to a write of `key` by txn `writer` (0 =
+  /// non-transactional): the newest read, and whether `writer` alone made it.
+  StatusOr<TimestampCache::MaxRead> MaxReadTimestamp(Slice key, TxnId writer) const;
   int CountLeases(NodeId node) const;
   uint64_t RangeLogCommittedIndex(RangeId id) const;
   /// Highest contiguously applied log index of one replica of `id`

@@ -274,6 +274,8 @@ StatusOr<MvccGetResult> MvccGet(storage::Engine* engine, Slice user_key,
   it->SeekToFirst();
   MvccGetResult result;
   VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), prefix, ts, own_txn, &result));
+  // A slot the read could not load would otherwise read as "absent".
+  VELOCE_RETURN_IF_ERROR(it->status());
   return result;
 }
 
@@ -310,6 +312,7 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
     }
     NextKey(it.get(), prefix);
   }
+  VELOCE_RETURN_IF_ERROR(it->status());
   return result;
 }
 
@@ -385,7 +388,8 @@ Status MvccUpdateIntentTimestamp(storage::Engine* engine, Slice user_key,
 }
 
 StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
-                                    Slice end, Timestamp after, Timestamp upto) {
+                                    Slice end, Timestamp after, Timestamp upto,
+                                    TxnId own_txn) {
   std::string end_bound;
   if (!end.empty()) OrderedPutString(&end_bound, end);
   auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound);
@@ -393,8 +397,17 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
   std::string prefix;
   Slot slot;
   while (it->Valid()) {
-    const Slice slot_prefix = MvccPrefixExtractor(it->key());
-    prefix.assign(slot_prefix.data(), slot_prefix.size());
+    VELOCE_RETURN_IF_ERROR(ParseSlot(*it, &slot));
+    prefix.assign(slot.prefix.data(), slot.prefix.size());
+    if (slot.is_intent) {
+      // A foreign intent at or below `upto` may commit there (a STAGING
+      // txn can be implicitly committed already), under the moved read.
+      IntentValue intent;
+      if (!DecodeIntentValue(it->value(), &intent)) {
+        return Status::Corruption("bad intent value");
+      }
+      if (intent.ts <= upto && intent.txn_id != own_txn) return true;
+    }
     // Only the newest committed version at or below `upto` can answer: if
     // it is not above `after`, no older one is either.
     bool found = false;
@@ -402,6 +415,8 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
     if (found && slot.ts > after) return true;
     NextKey(it.get(), prefix);
   }
+  // An unreadable slot may hold the version that fails the refresh.
+  VELOCE_RETURN_IF_ERROR(it->status());
   return false;
 }
 
@@ -440,6 +455,8 @@ StatusOr<uint64_t> MvccGarbageCollect(storage::Engine* engine, Slice start,
     batch.Delete(it->key());
     ++removed;
   }
+  // Stopping early on a read fault would look like a clean pass.
+  VELOCE_RETURN_IF_ERROR(it->status());
   if (batch.Count() > 0) {
     VELOCE_RETURN_IF_ERROR(engine->Write(batch));
   }

@@ -131,9 +131,11 @@ Status MvccUpdateIntentTimestamp(storage::Engine* engine, Slice user_key,
                                  TxnId txn_id, Timestamp new_ts);
 
 /// True if any committed version of any key in [start, end) has a timestamp
-/// in (after, upto] — the transaction read-refresh probe.
+/// in (after, upto], or any key holds an intent at or below upto owned by a
+/// txn other than `own_txn` (0 = none) — the transaction read-refresh probe.
 StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
-                                    Slice end, Timestamp after, Timestamp upto);
+                                    Slice end, Timestamp after, Timestamp upto,
+                                    TxnId own_txn = 0);
 
 /// Garbage-collects old versions in [start, end): for each key, versions
 /// strictly older than the newest version at or below `threshold` are

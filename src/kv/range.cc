@@ -2,54 +2,56 @@
 
 namespace veloce::kv {
 
-void TimestampCache::RecordRead(Slice key, Timestamp ts) {
+void TimestampCache::RecordRead(Slice key, Timestamp ts, TxnId reader) {
   if (ts <= low_water_) return;
   auto it = points_.find(key.view());
   if (it == points_.end()) {
     if (points_.size() >= kMaxPoints) {
-      // Fold everything into the low-water mark and start over.
-      for (const auto& [k, t] : points_) {
-        if (low_water_ < t) low_water_ = t;
+      // Fold everything into the (ownerless) low-water mark and start over.
+      for (const auto& [k, stamp] : points_) {
+        if (low_water_ < stamp.ts) low_water_ = stamp.ts;
       }
       points_.clear();
       if (ts <= low_water_) return;
     }
-    points_.emplace(key.ToString(), ts);
-  } else if (it->second < ts) {
-    it->second = ts;
+    points_.emplace(key.ToString(), ReadStamp{ts, reader});
+  } else {
+    it->second.Add(ts, reader);
   }
 }
 
-void TimestampCache::RecordReadSpan(Slice start, Slice end, Timestamp ts) {
+void TimestampCache::RecordReadSpan(Slice start, Slice end, Timestamp ts,
+                                    TxnId reader) {
   if (ts <= low_water_) return;
   if (spans_.size() >= kMaxSpans) {
     for (const auto& span : spans_) {
-      if (low_water_ < span.ts) low_water_ = span.ts;
+      if (low_water_ < span.stamp.ts) low_water_ = span.stamp.ts;
     }
     spans_.clear();
     if (ts <= low_water_) return;
   }
-  spans_.push_back({start.ToString(), end.ToString(), ts});
+  spans_.push_back({start.ToString(), end.ToString(), ReadStamp{ts, reader}});
 }
 
 void TimestampCache::MergeFrom(const TimestampCache& other) {
   if (low_water_ < other.low_water_) low_water_ = other.low_water_;
-  for (const auto& [k, t] : other.points_) RecordRead(k, t);
+  for (const auto& [k, stamp] : other.points_) RecordRead(k, stamp.ts, stamp.reader);
   for (const auto& span : other.spans_) {
-    RecordReadSpan(span.start, span.end, span.ts);
+    RecordReadSpan(span.start, span.end, span.stamp.ts, span.stamp.reader);
   }
 }
 
-Timestamp TimestampCache::MaxReadTimestamp(Slice key) const {
-  Timestamp max = low_water_;
+TimestampCache::MaxRead TimestampCache::MaxReadTimestamp(Slice key,
+                                                         TxnId writer) const {
+  ReadStamp max{low_water_, 0};
   auto it = points_.find(key.view());
-  if (it != points_.end() && max < it->second) max = it->second;
+  if (it != points_.end()) max.Add(it->second.ts, it->second.reader);
   for (const auto& span : spans_) {
     if (Slice(span.start) <= key && (span.end.empty() || key < Slice(span.end))) {
-      if (max < span.ts) max = span.ts;
+      max.Add(span.stamp.ts, span.stamp.reader);
     }
   }
-  return max;
+  return {max.ts, writer != 0 && max.reader == writer};
 }
 
 }  // namespace veloce::kv

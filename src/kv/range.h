@@ -269,9 +269,12 @@ class ReplicationLog {
 };
 
 /// Read-timestamp cache for one range: remembers the maximum timestamp at
-/// which each key (or span) was read, so later writes below that timestamp
-/// are pushed forward — the mechanism that gives serializable isolation for
-/// read-write conflicts.
+/// which each key (or span) was read, and by whom, so later writes below
+/// that timestamp are pushed forward — the mechanism that gives
+/// serializable isolation for read-write conflicts. Each entry carries the
+/// reading txn (0 = no single owner: a non-transactional read, two txns at
+/// the same timestamp, or the folded low-water mark), so a txn's own reads
+/// never push its own writes.
 class TimestampCache {
  public:
   /// Spans are folded into a range-wide low-water mark once the list grows
@@ -279,28 +282,55 @@ class TimestampCache {
   static constexpr size_t kMaxSpans = 128;
   static constexpr size_t kMaxPoints = 4096;
 
-  void RecordRead(Slice key, Timestamp ts);
-  void RecordReadSpan(Slice start, Slice end, Timestamp ts);
+  /// The answer to a writer: the newest read of a key, and whether that
+  /// timestamp was read by the writer alone (then the write may land at it;
+  /// otherwise it must land above it).
+  struct MaxRead {
+    Timestamp ts;
+    bool own = false;
+  };
+
+  void RecordRead(Slice key, Timestamp ts, TxnId reader = 0);
+  void RecordReadSpan(Slice start, Slice end, Timestamp ts, TxnId reader = 0);
 
   /// Folds another range's cache in (range merge): every point and span is
-  /// carried over so no read constraint is lost; cap overflow degrades to
-  /// the low-water mark exactly as organic growth does.
+  /// carried over with its reader so no read constraint is lost; cap
+  /// overflow degrades to the low-water mark exactly as organic growth does.
   void MergeFrom(const TimestampCache& other);
 
-  /// Highest read timestamp recorded for `key`.
-  Timestamp MaxReadTimestamp(Slice key) const;
+  /// Highest read timestamp recorded for `key`, and whether txn `writer`
+  /// (0 = a non-transactional writer, which owns nothing) was its only reader.
+  MaxRead MaxReadTimestamp(Slice key, TxnId writer = 0) const;
 
   Timestamp low_water() const { return low_water_; }
 
  private:
-  struct SpanRead {
-    std::string start, end;
+  /// The newest read covering a key: its timestamp, and its reader when one
+  /// txn alone read at that timestamp (0 otherwise).
+  struct ReadStamp {
     Timestamp ts;
+    TxnId reader = 0;
+
+    /// Raises this stamp to `other_ts` read by `other_reader`; an equal
+    /// timestamp read by a different reader leaves the stamp ownerless.
+    void Add(Timestamp other_ts, TxnId other_reader) {
+      if (ts < other_ts) {
+        ts = other_ts;
+        reader = other_reader;
+      } else if (ts == other_ts && reader != other_reader) {
+        reader = 0;
+      }
+    }
   };
 
-  std::map<std::string, Timestamp, std::less<>> points_;
+  struct SpanRead {
+    std::string start, end;
+    ReadStamp stamp;
+  };
+
+  std::map<std::string, ReadStamp, std::less<>> points_;
   std::vector<SpanRead> spans_;
-  Timestamp low_water_;
+  Timestamp low_water_;  ///< ownerless
 };
 
 }  // namespace veloce::kv

@@ -572,9 +572,10 @@ TEST(EngineFaultTest, ReadBitFlipSurfacesCorruption) {
   ASSERT_TRUE(engine->Get("key7", &value).ok());
 }
 
-// The writer's MVCC probe reads through an iterator. A table block it could
-// not read may hold a foreign intent, so the failure must surface as an
-// error rather than as "no intent" (which would let the write overwrite it).
+// The MVCC probes and reads go through an iterator. A table block one could
+// not read may hold a foreign intent or a version, so the failure must
+// surface as an error rather than as "absent" (which would let a write
+// overwrite an intent, a read miss a value, or a refresh pass).
 TEST(EngineFaultTest, WriteProbeSurfacesReadFaults) {
   auto base = NewMemEnv();
   FaultInjectionEnv fault(base.get());
@@ -595,6 +596,13 @@ TEST(EngineFaultTest, WriteProbeSurfacesReadFaults) {
   fault.AddRule(rule);
   kv::Timestamp newest;
   EXPECT_FALSE(kv::MvccGetIntent(engine.get(), "k", &newest).ok());
+  // The reads fail the same way instead of reading the key as absent: a
+  // point read, a scan, a refresh (which would pass) and GC (which would
+  // keep nothing it could not see).
+  EXPECT_FALSE(kv::MvccGet(engine.get(), "k", {20, 0}).ok());
+  EXPECT_FALSE(kv::MvccScan(engine.get(), "a", "z", {20, 0}, 0).ok());
+  EXPECT_FALSE(kv::MvccAnyNewerVersions(engine.get(), "a", "z", {1, 0}, {20, 0}, 7).ok());
+  EXPECT_FALSE(kv::MvccGarbageCollect(engine.get(), "a", "z", {20, 0}).ok());
 
   fault.ClearRules();
   auto intent = kv::MvccGetIntent(engine.get(), "k", &newest);
@@ -602,6 +610,18 @@ TEST(EngineFaultTest, WriteProbeSurfacesReadFaults) {
   ASSERT_TRUE(intent->has_value());
   EXPECT_EQ((*intent)->txn_id, 7u);
   EXPECT_EQ(newest, (kv::Timestamp{5, 0}));
+  auto get = kv::MvccGet(engine.get(), "k", {20, 0}, 7);
+  ASSERT_TRUE(get.ok()) << get.status().ToString();
+  EXPECT_EQ(get->value, "pending");
+  auto scan = kv::MvccScan(engine.get(), "a", "z", {20, 0}, 0, 7);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->entries.size(), 1u);
+  auto newer = kv::MvccAnyNewerVersions(engine.get(), "a", "z", {1, 0}, {20, 0}, 7);
+  ASSERT_TRUE(newer.ok()) << newer.status().ToString();
+  EXPECT_TRUE(*newer);
+  auto removed = kv::MvccGarbageCollect(engine.get(), "a", "z", {20, 0});
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(*removed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "common/logging.h"
@@ -256,6 +257,18 @@ TEST_F(MvccTest, AnyNewerVersionsProbe) {
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {50, 0}, {100, 0}));
   EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {60, 0}));
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {60, 0}, {200, 0}));
+}
+
+// A refresh fails on another txn's intent at or below its target: that txn
+// may commit there (a STAGING txn may already be implicitly committed). The
+// refreshing txn's own intent does not count.
+TEST_F(MvccTest, AnyNewerVersionsCountsForeignIntents) {
+  PutValue("k1", {10, 0}, "v");
+  PutIntent("k2", 42, {50, 0}, "pending");
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {60, 0}, 7));
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {50, 0}, 7));
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {49, 0}, 7));
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {20, 0}, {60, 0}, 42));
 }
 
 TEST_F(MvccTest, GetIntentReportsNewestVersion) {
@@ -854,7 +867,47 @@ TEST_F(ClusterTest, EveryWriteKindLandsAboveReadsClosedTsAndNewerVersions) {
   }
 }
 
-class TransactionTest : public ClusterTest {};
+// A split keeps its reads: A reads k, the range splits at k, then an older
+// txn writes k. Its write must still land above A's read, so a re-read at
+// A's timestamp sees what A saw.
+TEST_F(ClusterTest, SplitKeepsReadTimestamps) {
+  const std::string k = Key(10, "split-read");
+  const TxnRecord older = cluster_->BeginTxn();
+  BatchRequest get = Req(10);
+  get.AddGet(k);
+  auto read = cluster_->Send(get);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_FALSE(read->responses[0].found);
+  ASSERT_GT(get.ts, older.read_ts);
+  ASSERT_TRUE(cluster_->SplitRange(k).ok());
+  ASSERT_EQ(cluster_->LookupRange(k)->start_key, k);
+
+  BatchRequest write;
+  write.tenant_id = 10;
+  write.ts = older.read_ts;
+  write.txn_id = older.id;
+  write.commit_txn = true;
+  write.can_forward_ts = true;
+  write.AddPut(k, "older");
+  auto resp = cluster_->Send(write);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+
+  BatchRequest reread;
+  reread.tenant_id = 10;
+  reread.ts = get.ts;
+  reread.AddGet(k);
+  auto again = cluster_->Send(reread);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(again->responses[0].found) << "value " << again->responses[0].value;
+}
+
+class TransactionTest : public ClusterTest {
+ protected:
+  double Retries() { return cluster_->metrics()->Value("veloce_txn_retries_total"); }
+  double Commits(const std::string& path) {
+    return cluster_->metrics()->Value("veloce_txn_commits_total", {{"path", path}});
+  }
+};
 
 TEST_F(TransactionTest, CommitMakesWritesVisible) {
   {
@@ -1046,6 +1099,146 @@ TEST_F(TransactionTest, LostUpdateIsRetriedNotCommitted) {
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ(resp->responses[0].value, "1");
   }
+}
+
+// A txn's own read never pushes its own write: a read-modify-write commits
+// at its read timestamp in one 1PC attempt, with no refresh and no retry.
+TEST_F(TransactionTest, ReadModifyWriteCommitsInOneOnePhaseAttempt) {
+  const std::string k = Key(10, "rmw-1pc");
+  BatchRequest init = Req(10);
+  init.AddPut(k, "1");
+  ASSERT_TRUE(cluster_->Send(init).ok());
+  const double retries = Retries();
+  const double one_pc = Commits("1pc");
+
+  Transaction txn(cluster_.get(), 10);
+  const Timestamp read_ts = txn.read_ts();
+  std::optional<std::string> value;
+  ASSERT_TRUE(txn.Get(k, &value).ok());
+  ASSERT_EQ(value, "1");
+  ASSERT_TRUE(txn.Put(k, "2").ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(Commits("1pc"), one_pc + 1);
+  EXPECT_EQ(Retries(), retries);
+  EXPECT_EQ(txn.batches_sent(), 2u);  // the read and one commit attempt
+  EXPECT_EQ(txn.commit_ts(), read_ts);
+}
+
+// The same on the parallel-commit path: the flushed intent lands at the
+// read timestamp, so nothing is refreshed before staging.
+TEST_F(TransactionTest, ReadModifyWriteStagesAtItsReadTimestamp) {
+  const std::string k = Key(10, "rmw-parallel");
+  BatchRequest init = Req(10);
+  init.AddPut(k, "1");
+  ASSERT_TRUE(cluster_->Send(init).ok());
+  const double retries = Retries();
+  const double parallel = Commits("parallel");
+
+  Transaction txn(cluster_.get(), 10);
+  const Timestamp read_ts = txn.read_ts();
+  std::optional<std::string> value;
+  ASSERT_TRUE(txn.Get(k, &value).ok());
+  ASSERT_EQ(value, "1");
+  ASSERT_TRUE(txn.Put(k, "2").ok());
+  ASSERT_TRUE(txn.Flush().ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(Commits("parallel"), parallel + 1);
+  EXPECT_EQ(Retries(), retries);
+  EXPECT_EQ(txn.read_ts(), read_ts);  // no refresh
+  EXPECT_EQ(txn.commit_ts(), read_ts);
+}
+
+// Refresh gap 1: a refresh is a read. A reads k, is pushed, and refreshes k
+// up to its new timestamp. B, begun between A's read and that timestamp,
+// then writes k blindly. B's write must land above the refreshed read, not
+// merely above A's original one; otherwise A's retried 1PC lands above B's
+// version without having seen it, and B's write is lost.
+TEST_F(TransactionTest, RefreshedReadFencesOlderWriters) {
+  const std::string k = Key(10, "refreshed");
+  const std::string k2 = k + "-other";
+  BatchRequest init = Req(10);
+  init.AddPut(k, "0");
+  ASSERT_TRUE(cluster_->Send(init).ok());
+
+  std::unique_ptr<Transaction> b;
+  int one_pc_attempts = 0;
+  Transaction::Sender sender = [&](const BatchRequest& req) -> StatusOr<BatchResponse> {
+    if (req.commit_txn && ++one_pc_attempts == 2) {
+      // A's first attempt was rejected and its read of k refreshed.
+      EXPECT_TRUE(b->Put(k, "b").ok());
+      EXPECT_TRUE(b->Commit().ok());
+    }
+    return cluster_->Send(req);
+  };
+  Transaction a(cluster_.get(), 10, 0, sender);
+  std::optional<std::string> value;
+  ASSERT_TRUE(a.Get(k, &value).ok());
+  ASSERT_EQ(value, "0");
+  b = std::make_unique<Transaction>(cluster_.get(), 10);
+  ASSERT_GT(b->read_ts(), a.read_ts());
+
+  // A plain read far above everything pushes A's write of k2.
+  BatchRequest high = Req(10);
+  high.ts = Timestamp{cluster_->Now().wall + 10 * kSecond, 0};
+  high.AddGet(k2);
+  ASSERT_TRUE(cluster_->Send(high).ok());
+
+  ASSERT_TRUE(a.Put(k, "1").ok());
+  ASSERT_TRUE(a.Put(k2, "a").ok());
+  EXPECT_EQ(a.Commit().code(), Code::kTransactionRetry);
+  ASSERT_GE(one_pc_attempts, 2);
+  ASSERT_TRUE(b->finalized());
+  EXPECT_GT(b->commit_ts(), high.ts);
+
+  BatchRequest get = Req(10);
+  get.AddGet(k);
+  auto resp = cluster_->Send(get);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->responses[0].value, "b");
+}
+
+// Refresh gap 2: a refresh must not pass over another txn's intent at or
+// below its target. B's intent on k sits above A's read, and B is STAGING
+// with every write present, so it is committed at its staged timestamp
+// already. A, pushed above that timestamp, must not commit as if k were
+// unchanged.
+TEST_F(TransactionTest, RefreshFailsOnForeignIntentBelowTarget) {
+  const std::string k = Key(10, "staged-k");
+  const std::string k2 = k + "-other";
+  BatchRequest init = Req(10);
+  init.AddPut(k, "0");
+  ASSERT_TRUE(cluster_->Send(init).ok());
+
+  Transaction a(cluster_.get(), 10);
+  std::optional<std::string> value;
+  ASSERT_TRUE(a.Get(k, &value).ok());
+  ASSERT_EQ(value, "0");
+
+  const TxnRecord b = cluster_->BeginTxn();
+  BatchRequest intent;
+  intent.tenant_id = 10;
+  intent.ts = b.read_ts;
+  intent.txn_id = b.id;
+  intent.txn_priority = b.priority;
+  intent.AddPut(k, "b");
+  ASSERT_TRUE(cluster_->Send(intent).ok());
+  Timestamp staged;
+  ASSERT_TRUE(cluster_->StageTxn(b.id, {k}, &staged).ok());
+
+  BatchRequest high = Req(10);
+  high.ts = Timestamp{cluster_->Now().wall + 10 * kSecond, 0};
+  high.AddGet(k2);
+  ASSERT_TRUE(cluster_->Send(high).ok());
+
+  ASSERT_TRUE(a.Put(k2, "a").ok());
+  EXPECT_EQ(a.Commit().code(), Code::kTransactionRetry);
+
+  // B's commit stands (recovered by this read's push).
+  BatchRequest get = Req(10);
+  get.AddGet(k);
+  auto resp = cluster_->Send(get);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->responses[0].value, "b");
 }
 
 TEST_F(TransactionTest, SerializabilityUnderConcurrentCounters) {

@@ -84,9 +84,15 @@ struct MvccModel {
     return out;
   }
 
-  // What MvccAnyNewerVersions must return.
+  // What MvccAnyNewerVersions must return: a committed version in
+  // (after, upto], or another txn's intent at or below upto (it may commit
+  // there); the refreshing txn's own intent does not count.
   bool AnyNewer(const std::string& start, const std::string& end,
-                kv::Timestamp after, kv::Timestamp upto) const {
+                kv::Timestamp after, kv::Timestamp upto, kv::TxnId own_txn) const {
+    for (const auto& [key, intent] : intents) {
+      if (key < start || (!end.empty() && key >= end)) continue;
+      if (intent.txn != own_txn && intent.ts <= upto) return true;
+    }
     for (auto h = versions.lower_bound(start); h != versions.end(); ++h) {
       if (!end.empty() && h->first >= end) break;
       for (const auto& [ts, value] : h->second) {
@@ -299,11 +305,12 @@ TEST_P(MvccPropertyTest, DeepHistoryWithIntentsMatchesModel) {
       const kv::Timestamp after = random_ts();
       const kv::Timestamp upto{after.wall + static_cast<Nanos>(rng.Uniform(60)),
                                static_cast<uint32_t>(rng.Uniform(3))};
-      auto got = kv::MvccAnyNewerVersions(engine.get(), start, end, after, upto);
+      const kv::TxnId own = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(3);
+      auto got = kv::MvccAnyNewerVersions(engine.get(), start, end, after, upto, own);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, model.AnyNewer(start, end, after, upto))
+      EXPECT_EQ(*got, model.AnyNewer(start, end, after, upto, own))
           << "refresh [" << Printable(start) << ", " << Printable(end) << ") ("
-          << after.ToString() << ", " << upto.ToString() << "]";
+          << after.ToString() << ", " << upto.ToString() << "] txn " << own;
     }
   };
   check_all();
@@ -388,17 +395,17 @@ TEST(TimestampCacheTest, PointReadsRemembered) {
   kv::TimestampCache cache;
   cache.RecordRead("a", {100, 0});
   cache.RecordRead("a", {50, 0});  // older read doesn't regress
-  EXPECT_EQ(cache.MaxReadTimestamp("a").wall, 100);
-  EXPECT_EQ(cache.MaxReadTimestamp("b").wall, 0);
+  EXPECT_EQ(cache.MaxReadTimestamp("a").ts.wall, 100);
+  EXPECT_EQ(cache.MaxReadTimestamp("b").ts.wall, 0);
 }
 
 TEST(TimestampCacheTest, SpanReadsCoverContainedKeys) {
   kv::TimestampCache cache;
   cache.RecordReadSpan("b", "d", {200, 0});
-  EXPECT_EQ(cache.MaxReadTimestamp("b").wall, 200);
-  EXPECT_EQ(cache.MaxReadTimestamp("c").wall, 200);
-  EXPECT_EQ(cache.MaxReadTimestamp("d").wall, 0);  // exclusive end
-  EXPECT_EQ(cache.MaxReadTimestamp("a").wall, 0);
+  EXPECT_EQ(cache.MaxReadTimestamp("b").ts.wall, 200);
+  EXPECT_EQ(cache.MaxReadTimestamp("c").ts.wall, 200);
+  EXPECT_EQ(cache.MaxReadTimestamp("d").ts.wall, 0);  // exclusive end
+  EXPECT_EQ(cache.MaxReadTimestamp("a").ts.wall, 0);
 }
 
 TEST(TimestampCacheTest, OverflowFoldsIntoLowWaterConservatively) {
@@ -411,8 +418,8 @@ TEST(TimestampCacheTest, OverflowFoldsIntoLowWaterConservatively) {
   }
   // Every recorded span's timestamp is still covered (possibly via the
   // low-water mark).
-  EXPECT_GE(cache.MaxReadTimestamp("k5").wall, 105);
-  EXPECT_GE(cache.MaxReadTimestamp("k100").wall, 200);
+  EXPECT_GE(cache.MaxReadTimestamp("k5").ts.wall, 105);
+  EXPECT_GE(cache.MaxReadTimestamp("k100").ts.wall, 200);
 }
 
 TEST(TimestampCacheTest, PointOverflowSafe) {
@@ -421,7 +428,95 @@ TEST(TimestampCacheTest, PointOverflowSafe) {
     cache.RecordRead("p" + std::to_string(i), {static_cast<Nanos>(10 + i), 0});
   }
   // A key recorded before the fold keeps (at least) its timestamp.
-  EXPECT_GE(cache.MaxReadTimestamp("p10").wall, 20);
+  EXPECT_GE(cache.MaxReadTimestamp("p10").ts.wall, 20);
+}
+
+TEST(TimestampCacheTest, OwnReadAllowsWriteAtItsTimestamp) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, /*reader=*/7);
+  cache.RecordReadSpan("b", "d", {200, 0}, /*reader=*/7);
+  const kv::TimestampCache::MaxRead point = cache.MaxReadTimestamp("a", 7);
+  EXPECT_EQ(point.ts, (kv::Timestamp{100, 0}));
+  EXPECT_TRUE(point.own);
+  const kv::TimestampCache::MaxRead span = cache.MaxReadTimestamp("c", 7);
+  EXPECT_EQ(span.ts, (kv::Timestamp{200, 0}));
+  EXPECT_TRUE(span.own);
+  // Another txn, or a non-transactional writer, owns none of it.
+  EXPECT_FALSE(cache.MaxReadTimestamp("a", 8).own);
+  EXPECT_FALSE(cache.MaxReadTimestamp("a").own);
+}
+
+TEST(TimestampCacheTest, ForeignReadPushesAbove) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, 7);
+  cache.RecordRead("a", {120, 0}, 8);
+  const kv::TimestampCache::MaxRead max = cache.MaxReadTimestamp("a", 7);
+  EXPECT_EQ(max.ts, (kv::Timestamp{120, 0}));
+  EXPECT_FALSE(max.own);
+  EXPECT_TRUE(cache.MaxReadTimestamp("a", 8).own);
+  // An older foreign read changes nothing: a write at 120 is above it.
+  cache.RecordRead("a", {110, 0}, 9);
+  EXPECT_TRUE(cache.MaxReadTimestamp("a", 8).own);
+  // A foreign span read above the point takes over.
+  cache.RecordReadSpan("a", "b", {130, 0}, 9);
+  EXPECT_FALSE(cache.MaxReadTimestamp("a", 8).own);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 8).ts, (kv::Timestamp{130, 0}));
+}
+
+TEST(TimestampCacheTest, TwoReadersAtOneTimestampLeaveTheEntryOwnerless) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, 7);
+  cache.RecordRead("a", {100, 0}, 8);
+  EXPECT_FALSE(cache.MaxReadTimestamp("a", 7).own);
+  EXPECT_FALSE(cache.MaxReadTimestamp("a", 8).own);
+  // A later read by one of them owns the entry again.
+  cache.RecordRead("a", {101, 0}, 7);
+  EXPECT_TRUE(cache.MaxReadTimestamp("a", 7).own);
+  // A point and a span of different readers at one timestamp tie the same way.
+  cache.RecordRead("k", {300, 0}, 7);
+  cache.RecordReadSpan("j", "l", {300, 0}, 8);
+  EXPECT_EQ(cache.MaxReadTimestamp("k", 7).ts, (kv::Timestamp{300, 0}));
+  EXPECT_FALSE(cache.MaxReadTimestamp("k", 7).own);
+  EXPECT_FALSE(cache.MaxReadTimestamp("k", 8).own);
+  // A non-transactional read is nobody's.
+  cache.RecordRead("z", {400, 0}, 7);
+  cache.RecordRead("z", {400, 0});
+  EXPECT_FALSE(cache.MaxReadTimestamp("z", 7).own);
+}
+
+TEST(TimestampCacheTest, FoldIsOwnerless) {
+  kv::TimestampCache cache;
+  for (size_t i = 0; i <= kv::TimestampCache::kMaxSpans; ++i) {
+    cache.RecordReadSpan("k" + std::to_string(i), "k" + std::to_string(i) + "x",
+                         {static_cast<Nanos>(100 + i), 0}, /*reader=*/7);
+  }
+  // Every span was txn 7's, but the low-water mark they folded into covers
+  // every key and so cannot name a reader.
+  const kv::TimestampCache::MaxRead folded = cache.MaxReadTimestamp("k5", 7);
+  EXPECT_EQ(folded.ts, cache.low_water());
+  EXPECT_FALSE(folded.own);
+  EXPECT_FALSE(cache.MaxReadTimestamp("unread", 7).own);
+  for (size_t i = 0; i <= kv::TimestampCache::kMaxPoints; ++i) {
+    cache.RecordRead("p" + std::to_string(i), {static_cast<Nanos>(10'000 + i), 0}, 7);
+  }
+  EXPECT_FALSE(cache.MaxReadTimestamp("p10", 7).own);
+  EXPECT_GE(cache.MaxReadTimestamp("p10", 7).ts.wall, 10'010);
+}
+
+TEST(TimestampCacheTest, MergeFromKeepsOwners) {
+  kv::TimestampCache left, right;
+  left.RecordRead("a", {100, 0}, 7);
+  right.RecordRead("m", {150, 0}, 8);
+  right.RecordReadSpan("n", "p", {200, 0}, 9);
+  right.RecordRead("a", {100, 0}, 7);  // same reader, same timestamp: still 7's
+  left.MergeFrom(right);
+  EXPECT_EQ(left.MaxReadTimestamp("a", 7).ts, (kv::Timestamp{100, 0}));
+  EXPECT_TRUE(left.MaxReadTimestamp("a", 7).own);
+  EXPECT_EQ(left.MaxReadTimestamp("m", 8).ts, (kv::Timestamp{150, 0}));
+  EXPECT_TRUE(left.MaxReadTimestamp("m", 8).own);
+  EXPECT_EQ(left.MaxReadTimestamp("o", 9).ts, (kv::Timestamp{200, 0}));
+  EXPECT_TRUE(left.MaxReadTimestamp("o", 9).own);
+  EXPECT_FALSE(left.MaxReadTimestamp("o", 8).own);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // pipelined/parallel commit paths produce identical committed state.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -362,6 +364,36 @@ TEST_F(TxnRecoveryTest, RecoveryAbortsExpiredStagingAndFencesLateWrites) {
 
   // A late pipelined write from the dead coordinator cannot land and
   // retroactively satisfy the stale staging.
+  const Status late = WriteIntent(rec, Key("b"), "vb");
+  EXPECT_EQ(late.code(), Code::kTransactionAborted) << late.ToString();
+}
+
+// The recovery's fence is nobody's read. The staged txn read b itself at its
+// timestamp, so were the fence recorded as that txn's read, its late write
+// of b could land at staged_ts and satisfy the stale staging. It must be
+// pushed above staged_ts instead.
+TEST_F(TxnRecoveryTest, RecoveryFencesTheStagedTxnsOwnLateWrite) {
+  const TxnRecord rec = cluster_->BeginTxn();
+  BatchRequest get;
+  get.tenant_id = 10;
+  get.ts = rec.read_ts;
+  get.txn_id = rec.id;
+  get.txn_priority = rec.priority;
+  get.AddGet(Key("b"));
+  ASSERT_TRUE(cluster_->Send(get).ok());
+  ASSERT_TRUE(cluster_->MaxReadTimestamp(Key("b"), rec.id)->own);
+  ASSERT_TRUE(WriteIntent(rec, Key("a"), "va").ok());
+  Timestamp staged;
+  ASSERT_TRUE(cluster_->StageTxn(rec.id, {Key("a"), Key("b")}, &staged).ok());
+  ASSERT_EQ(staged, rec.read_ts);
+
+  clock_.Advance(TxnRegistry::kExpiration + kSecond);
+  ASSERT_TRUE(Read(Key("a")).ok());
+  ASSERT_EQ(cluster_->txn_registry()->Get(rec.id)->status, TxnStatus::kAborted);
+  auto fence = cluster_->MaxReadTimestamp(Key("b"), rec.id);
+  ASSERT_TRUE(fence.ok()) << fence.status().ToString();
+  EXPECT_EQ(fence->ts, staged);
+  EXPECT_FALSE(fence->own);  // so rec's write of b lands above staged_ts
   const Status late = WriteIntent(rec, Key("b"), "vb");
   EXPECT_EQ(late.code(), Code::kTransactionAborted) << late.ToString();
 }
@@ -738,6 +770,90 @@ TEST(TxnDifferentialTest, CommitPathsProduceIdenticalState) {
 
   EXPECT_EQ(classic, buffered);
   EXPECT_EQ(classic, pipelined);
+}
+
+// ---------------------------------------------------------------------------
+// Contention
+// ---------------------------------------------------------------------------
+
+// TSan target (label `txn`): four threads commit read-modify-write txns,
+// each adding one to two distinct zipf-chosen counters of 1,000, with
+// default options, and restart on retryable errors. No increment may be lost: the counters must
+// sum to twice the number of commits.
+TEST(TxnContentionTest, ConcurrentIncrementsAreNeverLost) {
+  KVClusterOptions opts;
+  opts.num_nodes = 3;
+  opts.replication_factor = 3;
+  KVCluster cluster(opts);
+  ASSERT_TRUE(cluster.CreateTenantKeyspace(10).ok());
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 1000;
+  constexpr uint64_t kCounters = 1000;
+  constexpr int kMaxAttempts = 10000;
+  auto counter = [](uint64_t i) { return AddTenantPrefix(10, "ctr" + std::to_string(i)); };
+  {
+    Transaction init(&cluster, 10);
+    for (uint64_t i = 0; i < kCounters; ++i) ASSERT_TRUE(init.Put(counter(i), "0").ok());
+    ASSERT_TRUE(init.Commit().ok());
+  }
+
+  std::atomic<int64_t> committed{0};
+  std::mutex mu;
+  std::vector<std::string> errors;
+  auto client = [&](int thread) {
+    ZipfianGenerator zipf(kCounters, 0.99, 100 + static_cast<uint64_t>(thread));
+    for (int n = 0; n < kTxnsPerThread; ++n) {
+      uint64_t keys[2] = {zipf.Next(), zipf.Next()};
+      if (keys[1] == keys[0]) keys[1] = (keys[0] + 1) % kCounters;
+      Status s;
+      for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+        Transaction txn(&cluster, 10);
+        int64_t vals[2] = {0, 0};
+        s = Status::OK();
+        for (int k = 0; k < 2 && s.ok(); ++k) {
+          std::optional<std::string> v;
+          s = txn.Get(counter(keys[k]), &v);
+          if (s.ok() && v.has_value()) vals[k] = std::stoll(*v);
+        }
+        // A client round trip between the reads, the writes and the commit:
+        // without it a txn rarely overlaps another, and nothing contends.
+        std::this_thread::yield();
+        for (int k = 0; k < 2 && s.ok(); ++k) {
+          s = txn.Put(counter(keys[k]), std::to_string(vals[k] + 1));
+        }
+        std::this_thread::yield();
+        if (s.ok()) s = txn.Commit();
+        if (s.ok()) break;
+        if (!txn.finalized()) (void)txn.Rollback();
+        const bool retryable = s.IsTransactionRetry() || s.IsWriteIntentError() ||
+                               s.code() == Code::kTransactionAborted;
+        if (!retryable) break;
+        std::this_thread::yield();
+      }
+      if (s.ok()) {
+        committed.fetch_add(1);
+      } else {
+        std::lock_guard<std::mutex> l(mu);
+        errors.push_back(s.ToString());
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(client, t);
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(errors.empty()) << errors.size() << " txns failed, first: " << errors[0];
+
+  BatchRequest scan;
+  scan.tenant_id = 10;
+  scan.ts = cluster.Now();
+  scan.AddScan(AddTenantPrefix(10, "ctr"), AddTenantPrefix(10, "cts"), 0);
+  auto resp = cluster.Send(scan);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  int64_t sum = 0;
+  for (const auto& row : resp->responses[0].rows) sum += std::stoll(row.value);
+  EXPECT_EQ(resp->responses[0].rows.size(), kCounters);
+  EXPECT_EQ(committed.load(), kThreads * kTxnsPerThread);
+  EXPECT_EQ(sum, 2 * committed.load());
 }
 
 }  // namespace
